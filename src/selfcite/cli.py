@@ -54,6 +54,13 @@ def _read_text(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from None
 
 
+def _write_bytes(path: Path, data: bytes) -> None:
+    try:
+        path.write_bytes(data)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _load_pageset(path: str) -> set[str]:
     pages = set()
     for line in _read_text(path).splitlines():
@@ -90,7 +97,7 @@ def _write_output(
     extra_outputs: list[Path] | None = None,
 ) -> None:
     out = Path(args.out)
-    out.write_bytes(data)
+    _write_bytes(out, data)
     params = {k: v for k, v in vars(args).items() if k not in ("func", "argv")}
     if extra_params:
         params.update(extra_params)
@@ -108,8 +115,9 @@ def _write_output(
         "outputs": [{"path": str(o), "sha256": _sha256(o)} for o in outputs],
     }
     manifest_path = out.with_name(out.name + ".manifest.json")
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    _write_bytes(
+        manifest_path,
+        (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"),
     )
 
 
@@ -125,9 +133,10 @@ def _input_paths(args) -> list[str]:
     return paths
 
 
-def _emit(args, data: bytes) -> None:
+def _emit(args, data: bytes, **manifest_extras) -> None:
+    """Write to ``--out`` with a manifest, or to stdout when it is unset."""
     if args.out:
-        _write_output(args, data)
+        _write_output(args, data, **manifest_extras)
     else:
         sys.stdout.write(data.decode("utf-8"))
 
@@ -168,16 +177,13 @@ def _cmd_stats(args) -> int:
     if args.rank_frequency_out:
         ranks = rank_frequency(corpus)
         rank_path = Path(args.rank_frequency_out)
-        rank_path.write_text(
-            "rank,type,count\n"
-            + "".join(f"{r},{w},{c}\n" for r, w, c in ranks),
-            encoding="utf-8",
+        _write_bytes(
+            rank_path,
+            ("rank,type,count\n" + "".join(f"{r},{w},{c}\n" for r, w, c in ranks))
+            .encode("utf-8"),
         )
         extra_outputs.append(rank_path)
-    if args.out:
-        _write_output(args, data, extra_outputs=extra_outputs)
-    else:
-        sys.stdout.write(data.decode("utf-8"))
+    _emit(args, data, extra_outputs=extra_outputs)
     return 0
 
 
@@ -197,7 +203,7 @@ def _cmd_grid(args) -> int:
         target_distance=args.distance,
         drop_line_edges=args.drop_line_edges,
     )
-    grid = compute_grid(corpus, spec, threads=args.threads)
+    grid = compute_grid(corpus, spec)
     _emit(args, render_grid(grid, args.format))
     return 0
 
@@ -206,7 +212,7 @@ def _cmd_network(args) -> int:
     corpus, profile = _load_corpus(args)
     corpus = normalize(corpus, profile.alphabet, args.min_graphemes)
     table = TypeTable.from_corpus(corpus, profile.alphabet)
-    graph = build_graph(table, profile.alphabet, args.min_freq, args.strategy)
+    graph = build_graph(table, profile.alphabet, args.min_freq)
     rows = ["type_a,type_b,operation"]
     for a, b in sorted(graph.edges()):
         op = edge_operation(
@@ -222,10 +228,10 @@ def _cmd_path(args) -> int:
     corpus = normalize(corpus, profile.alphabet, args.min_graphemes)
     table = TypeTable.from_corpus(corpus, profile.alphabet)
     graph = build_graph(table, profile.alphabet, args.min_freq)
-    path = shortest_path(graph, getattr(args, "from"), args.to)
+    source = getattr(args, "from")
+    path = shortest_path(graph, source, args.to)
     if path is None:
-        print("no path")
-        return 1
+        raise ValueError(f"no path from {source!r} to {args.to!r}")
     _emit(args, (" -> ".join(path) + "\n").encode("utf-8"))
     return 0
 
@@ -244,11 +250,7 @@ def _cmd_generate(args) -> int:
     args.profile_digest = profile.digest
     corpus = generate(params, profile.alphabet)
     data = format_transliteration(corpus).encode("utf-8")
-    if args.out:
-        _write_output(args, data, extra_params={"rng": RNG_ALGORITHM,
-                                                "rng_seed": params.rng_seed})
-    else:
-        sys.stdout.write(data.decode("utf-8"))
+    _emit(args, data, extra_params={"rng": RNG_ALGORITHM, "rng_seed": params.rng_seed})
     return 0
 
 
@@ -256,18 +258,14 @@ def _cmd_shuffle(args) -> int:
     corpus, _ = _load_corpus(args)
     shuffled = shuffle_control(corpus, args.seed)
     data = format_transliteration(shuffled).encode("utf-8")
-    if args.out:
-        _write_output(args, data, extra_params={"rng": RNG_ALGORITHM})
-    else:
-        sys.stdout.write(data.decode("utf-8"))
+    _emit(args, data, extra_params={"rng": RNG_ALGORITHM})
     return 0
 
 
 def _cmd_validate(args) -> int:
     corpus, profile = _load_corpus(args)
     report = validate_signature(
-        corpus, profile.alphabet, min_graphemes=args.min_graphemes,
-        threads=args.threads,
+        corpus, profile.alphabet, min_graphemes=args.min_graphemes
     )
     data = (json.dumps(report.as_dict(), indent=2) + "\n").encode("utf-8")
     _emit(args, data)
@@ -371,15 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--drop-line-edges", action="store_true",
                      dest="drop_line_edges",
                      help="ignore line-initial and line-final words")
-    sub.add_argument("--threads", type=int, default=1)
     sub.add_argument("--format", choices=("csv", "markdown", "svg"), default="csv")
     sub.set_defaults(func=_cmd_grid)
 
     sub = subs.add_parser("network", help="distance-1 similarity edges as CSV")
     _add_io_options(sub)
     sub.add_argument("--min-freq", type=int, default=4, dest="min_freq")
-    sub.add_argument("--strategy", choices=("neighbors", "buckets"),
-                     default="neighbors")
     sub.set_defaults(func=_cmd_network)
 
     sub = subs.add_parser("path", help="shortest similarity path between types")
@@ -405,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("validate", help="self-citation signature report")
     _add_io_options(sub)
-    sub.add_argument("--threads", type=int, default=1)
     sub.set_defaults(func=_cmd_validate)
 
     sub = subs.add_parser("profile", help="validate and print a profile")

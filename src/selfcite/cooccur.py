@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from selfcite.corpus import Corpus
+from selfcite.corpus import Corpus, require_graphemes
 from selfcite.editdist import Alphabet, bounded_distance_ids
 
 
@@ -94,8 +93,7 @@ def _corpus_matrices(corpus: Corpus, alphabet: Alphabet):
     for line in corpus.lines:
         row = []
         for token in line.tokens:
-            graphemes = token.graphemes or alphabet.segment(token.raw)
-            encoded = alphabet.encode(graphemes)
+            encoded = alphabet.encode(require_graphemes(token))
             tid = type_ids.setdefault(encoded, len(type_ids))
             row.append(tid)
         rows.append(row)
@@ -179,9 +177,8 @@ def compute_grids(
     corpus: Corpus,
     spec: GridSpec,
     distances: Sequence[int],
-    threads: int = 1,
 ) -> dict[int, CooccurrenceGrid]:
-    """Grids for several target distances in one pass over the corpus.
+    """Grids for several target distances in one pass over a normalized corpus.
 
     Cell counts equal those of independent single-distance runs; computing
     them together only shares the pair enumeration and distance work.
@@ -190,20 +187,13 @@ def compute_grids(
         raise ValueError("corpus has no lines")
     if not distances:
         raise ValueError("need at least one target distance")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     matrix, edges, seqs = _corpus_matrices(corpus, spec.alphabet)
     n_types = max(len(seqs), 1)
     cells = list(spec.iter_cells())
-
-    def keys_for(cell):
-        return _cell_keys(matrix, edges, n_types, cell[0], cell[1], spec.drop_line_edges)
-
-    if threads > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_cell = list(pool.map(keys_for, cells))
-    else:
-        per_cell = [keys_for(cell) for cell in cells]
+    per_cell = [
+        _cell_keys(matrix, edges, n_types, i, j, spec.drop_line_edges)
+        for i, j in cells
+    ]
 
     bound = max(distances) + 1
     nonempty = [k for k in per_cell if len(k)]
@@ -229,11 +219,9 @@ def compute_grids(
     }
 
 
-def compute_grid(corpus: Corpus, spec: GridSpec, threads: int = 1) -> CooccurrenceGrid:
+def compute_grid(corpus: Corpus, spec: GridSpec) -> CooccurrenceGrid:
     """The co-occurrence grid for the spec's target distance."""
-    return compute_grids(corpus, spec, [spec.target_distance], threads)[
-        spec.target_distance
-    ]
+    return compute_grids(corpus, spec, [spec.target_distance])[spec.target_distance]
 
 
 def summarize_decay(grid: CooccurrenceGrid) -> dict[int, float]:

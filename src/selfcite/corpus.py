@@ -132,15 +132,35 @@ _SEPARATORS_RE = re.compile(r"[.,\s=-]+")
 _EDGE_PUNCT = string.punctuation + "‘’“”«»–—…"
 
 
-def _finish_paragraph_flags(records: list[tuple[Locus, tuple[Token, ...], int]],
-                            page_order: list[str], source_kind: str) -> Corpus:
-    """Assemble lines, deriving paragraph-initial/final flags from ids."""
+#: One retained source line: its locus, its tokens and its paragraph id.
+LineRecord = tuple[Locus, tuple[Token, ...], int]
+
+
+def assemble_corpus(records: list[LineRecord], source_kind: str) -> Corpus:
+    """Build a corpus from line records given in source order.
+
+    Paragraph-initial/final flags follow from the paragraph ids, and the
+    page order from the sequence of distinct consecutive pages.
+    """
     lines = []
+    pages: list[str] = []
     for idx, (locus, tokens, para_id) in enumerate(records):
         initial = idx == 0 or records[idx - 1][2] != para_id
         final = idx == len(records) - 1 or records[idx + 1][2] != para_id
         lines.append(Line(locus, tokens, initial, final, para_id))
-    return Corpus(tuple(lines), tuple(page_order), source_kind)
+        if not pages or pages[-1] != locus.page:
+            pages.append(locus.page)
+    return Corpus(tuple(lines), tuple(pages), source_kind)
+
+
+def require_graphemes(token: Token) -> tuple[str, ...]:
+    """The token's grapheme sequence; raises unless it was normalized."""
+    if token.graphemes is None:
+        raise ValueError(
+            f"token {token.raw!r} has no grapheme segmentation; "
+            "normalize the corpus first"
+        )
+    return token.graphemes
 
 
 def parse_transliteration(text: str, options: ParserOptions = ParserOptions()) -> Corpus:
@@ -149,8 +169,7 @@ def parse_transliteration(text: str, options: ParserOptions = ParserOptions()) -
     Raises :class:`ParseError` for content lines without a well-formed
     locus tag, and ``ValueError("empty corpus")`` when nothing remains.
     """
-    records: list[tuple[Locus, tuple[Token, ...], int]] = []
-    page_order: list[str] = []
+    records: list[LineRecord] = []
     para_id = -1
     prev_page: str | None = None
     prev_unit: str | None = None
@@ -181,11 +200,8 @@ def parse_transliteration(text: str, options: ParserOptions = ParserOptions()) -
             pending_break = True
             continue
 
-        new_page = locus.page != prev_page
-        if new_page or pending_break or locus.unit != prev_unit:
+        if locus.page != prev_page or pending_break or locus.unit != prev_unit:
             para_id += 1
-        if new_page:
-            page_order.append(locus.page)
         records.append((locus, tuple(Token(t) for t in token_strings), para_id))
         prev_page = locus.page
         prev_unit = locus.unit
@@ -193,7 +209,7 @@ def parse_transliteration(text: str, options: ParserOptions = ParserOptions()) -
 
     if not records:
         raise ValueError("empty corpus")
-    return _finish_paragraph_flags(records, page_order, TRANSLITERATION)
+    return assemble_corpus(records, TRANSLITERATION)
 
 
 def parse_plaintext(text: str, options: PlainOptions = PlainOptions()) -> Corpus:
@@ -203,7 +219,7 @@ def parse_plaintext(text: str, options: PlainOptions = PlainOptions()) -> Corpus
     edges; lines left empty are dropped. Blank source lines separate
     paragraphs. The whole text is treated as a single page "text".
     """
-    records: list[tuple[Locus, tuple[Token, ...], int]] = []
+    records: list[LineRecord] = []
     para_id = 0
     pending_break = False
     line_no = 0
@@ -230,15 +246,7 @@ def parse_plaintext(text: str, options: PlainOptions = PlainOptions()) -> Corpus
         records.append((locus, tuple(tokens), para_id))
     if not records:
         raise ValueError("empty corpus")
-    return _finish_paragraph_flags(records, ["text"], PLAINTEXT)
-
-
-def _rebuild(corpus: Corpus, kept: list[tuple[Locus, tuple[Token, ...], int]]) -> Corpus:
-    pages = []
-    for locus, _, _ in kept:
-        if not pages or pages[-1] != locus.page:
-            pages.append(locus.page)
-    return _finish_paragraph_flags(kept, pages, corpus.source_kind)
+    return assemble_corpus(records, PLAINTEXT)
 
 
 def normalize(corpus: Corpus, alphabet: Alphabet, min_graphemes: int = 2) -> Corpus:
@@ -249,7 +257,7 @@ def normalize(corpus: Corpus, alphabet: Alphabet, min_graphemes: int = 2) -> Cor
     Idempotent. Raises :class:`selfcite.editdist.SegmentationError` for
     tokens the alphabet cannot segment.
     """
-    kept: list[tuple[Locus, tuple[Token, ...], int]] = []
+    kept: list[LineRecord] = []
     for line in corpus.lines:
         tokens = []
         for token in line.tokens:
@@ -260,7 +268,7 @@ def normalize(corpus: Corpus, alphabet: Alphabet, min_graphemes: int = 2) -> Cor
             kept.append((line.locus, tuple(tokens), line.paragraph_id))
     if not kept:
         raise ValueError("empty corpus")
-    return _rebuild(corpus, kept)
+    return assemble_corpus(kept, corpus.source_kind)
 
 
 def filter_pages(corpus: Corpus, pages: Iterable[str]) -> Corpus:
@@ -276,7 +284,7 @@ def filter_pages(corpus: Corpus, pages: Iterable[str]) -> Corpus:
             for line in corpus.lines if line.locus.page in page_set]
     if not kept:
         raise ValueError("no lines match")
-    return _rebuild(corpus, kept)
+    return assemble_corpus(kept, corpus.source_kind)
 
 
 def format_transliteration(corpus: Corpus) -> str:

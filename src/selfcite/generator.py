@@ -23,7 +23,15 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
-from selfcite.corpus import Corpus, Line, Locus, Token, normalize
+from selfcite.corpus import (
+    TRANSLITERATION,
+    Corpus,
+    LineRecord,
+    Locus,
+    Token,
+    assemble_corpus,
+    normalize,
+)
 from selfcite.cooccur import GridSpec, compute_grids
 from selfcite.editdist import Alphabet
 
@@ -233,7 +241,7 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
     history: list[list[tuple[str, ...]]] = []
     emitted = 0
 
-    lines: list[tuple[Locus, tuple[Token, ...], int]] = []
+    lines: list[LineRecord] = []
     page_no = 1
     page_lines = 0
     para_id = 0
@@ -317,16 +325,7 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
                 history.append(current)
         para_id += 1
 
-    corpus_lines = []
-    for idx, (locus, tokens, pid) in enumerate(lines):
-        initial = idx == 0 or lines[idx - 1][2] != pid
-        final = idx == len(lines) - 1 or lines[idx + 1][2] != pid
-        corpus_lines.append(Line(locus, tokens, initial, final, pid))
-    pages = []
-    for locus, _, _ in lines:
-        if not pages or pages[-1] != locus.page:
-            pages.append(locus.page)
-    return Corpus(tuple(corpus_lines), tuple(pages), "transliteration")
+    return assemble_corpus(lines, TRANSLITERATION)
 
 
 def shuffle_control(corpus: Corpus, rng_seed: int) -> Corpus:
@@ -378,7 +377,6 @@ def validate_signature(
     max_line_offset: int = 9,
     max_pos_offset: int = 6,
     min_graphemes: int = 2,
-    threads: int = 1,
 ) -> SignatureReport:
     """Measure the self-citation signature of a corpus.
 
@@ -396,7 +394,7 @@ def validate_signature(
         max_line_offset=max_line_offset,
         max_pos_offset=max_pos_offset,
     )
-    grids = compute_grids(normalized, spec, (0, 1, 2), threads=threads)
+    grids = compute_grids(normalized, spec, (0, 1, 2))
     row_means = {
         d: {
             i: mean

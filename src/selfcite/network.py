@@ -1,11 +1,10 @@
 """Word-type similarity networks: distance-1 edges over frequent types.
 
 Nodes are the word types that occur at least ``min_freq`` times; an edge
-joins two types at exactly edit distance one. Two construction strategies
-are provided and must agree: neighbor generation enumerates every one-edit
-variant of each node and looks it up, while bucketing compares only types
-whose lengths differ by at most one. Neither evaluates the full quadratic
-pair set.
+joins two types at exactly edit distance one. Edges are found by neighbor
+generation: every one-edit variant of each node (a deleted or inserted
+grapheme, or a similar-grapheme swap) is looked up in an index of the
+nodes, so the full quadratic pair set is never evaluated.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from selfcite.corpus import Corpus
-from selfcite.editdist import Alphabet, are_similar, edit_distance
+from selfcite.editdist import Alphabet, are_similar
 
 
 @dataclass(frozen=True)
@@ -92,39 +91,10 @@ def _one_edit_variants(seq: tuple[str, ...], alphabet: Alphabet):
             yield seq[:i] + (p,) + seq[i + 1 :]
 
 
-def _edges_by_neighbors(nodes: dict[str, tuple[str, ...]], alphabet: Alphabet):
-    index = {seq: word for word, seq in nodes.items()}
-    edges = set()
-    for word, seq in nodes.items():
-        for variant in _one_edit_variants(seq, alphabet):
-            other = index.get(variant)
-            if other is not None and other != word:
-                edges.add((word, other) if word < other else (other, word))
-    return edges
-
-
-def _edges_by_buckets(nodes: dict[str, tuple[str, ...]], alphabet: Alphabet):
-    by_length: dict[int, list[str]] = {}
-    for word, seq in nodes.items():
-        by_length.setdefault(len(seq), []).append(word)
-    edges = set()
-    for length, words in by_length.items():
-        words = sorted(words)
-        for bucket in (words, by_length.get(length + 1, ())):
-            same = bucket is words
-            for x, a in enumerate(words):
-                others = bucket[x + 1 :] if same else bucket
-                for b in others:
-                    if edit_distance(nodes[a], nodes[b], alphabet, bound=1) == 1:
-                        edges.add((a, b) if a < b else (b, a))
-    return edges
-
-
 def build_graph(
     table: TypeTable,
     alphabet: Alphabet,
     min_freq: int = 4,
-    strategy: str = "neighbors",
 ) -> SimilarityGraph:
     """Build the distance-1 graph over types with count >= min_freq."""
     if not table.entries:
@@ -134,16 +104,14 @@ def build_graph(
         for word, info in table.entries.items()
         if info.count >= min_freq
     }
-    if strategy == "neighbors":
-        edges = _edges_by_neighbors(nodes, alphabet)
-    elif strategy == "buckets":
-        edges = _edges_by_buckets(nodes, alphabet)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    adjacency: dict[str, list[str]] = {word: [] for word in nodes}
-    for a, b in edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
+    index = {seq: word for word, seq in nodes.items()}
+    adjacency: dict[str, set[str]] = {word: set() for word in nodes}
+    for word, seq in nodes.items():
+        for variant in _one_edit_variants(seq, alphabet):
+            other = index.get(variant)
+            if other is not None and other != word:
+                adjacency[word].add(other)
+                adjacency[other].add(word)
     return SimilarityGraph(
         min_freq=min_freq,
         adjacency={w: tuple(sorted(ns)) for w, ns in adjacency.items()},

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from selfcite.corpus import Corpus
+from selfcite.corpus import Corpus, require_graphemes
 
 
 @dataclass(frozen=True)
@@ -80,15 +80,6 @@ def is_subgroup(b: tuple[str, ...], a: tuple[str, ...], contiguous: bool = True)
     return all(g in it for g in b)
 
 
-def _graphemes(token) -> tuple[str, ...]:
-    if token.graphemes is None:
-        raise ValueError(
-            f"token {token.raw!r} has no grapheme segmentation; "
-            "normalize the corpus first"
-        )
-    return token.graphemes
-
-
 def positional_stats(
     corpus: Corpus,
     gallows: frozenset[str] | set[str],
@@ -121,7 +112,7 @@ def positional_stats(
     for line in corpus.lines:
         if not line.tokens:
             continue
-        words = [_graphemes(t) for t in line.tokens]
+        words = [require_graphemes(t) for t in line.tokens]
         for m, word in enumerate(words):
             total_len += len(word)
             total_tokens += 1

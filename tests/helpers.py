@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the fast paths.
 
 These stay deliberately naive: the recursive distance explores every edit
-at every step, and the grid recount walks every token pair with nested
-loops. Neither shares code with the library internals it checks. The
+at every step, the grid recount walks every token pair with nested loops,
+and the network oracle compares every pair of types whose lengths differ by
+at most one. None shares code with the library internals it checks. The
 hand-enumerated grid cases live here too, shared between the unit tests
 and the acceptance suite.
 """
@@ -10,7 +11,7 @@ and the acceptance suite.
 from __future__ import annotations
 
 from selfcite.corpus import Corpus
-from selfcite.editdist import Alphabet, are_similar
+from selfcite.editdist import Alphabet, are_similar, edit_distance
 
 
 def naive_distance(a, b, alphabet: Alphabet) -> int:
@@ -87,6 +88,24 @@ def brute_force_grid_counts(
                     if naive_distance(word, other[p], alphabet) == target_distance:
                         cell[1] += 1
     return {k: (v[0], v[1]) for k, v in counts.items()}
+
+
+def bucket_edges(nodes: dict[str, tuple[str, ...]], alphabet: Alphabet):
+    """Distance-1 edges by comparing types in adjacent length buckets."""
+    by_length: dict[int, list[str]] = {}
+    for word, seq in nodes.items():
+        by_length.setdefault(len(seq), []).append(word)
+    edges = set()
+    for length, words in by_length.items():
+        words = sorted(words)
+        for bucket in (words, by_length.get(length + 1, ())):
+            same = bucket is words
+            for x, a in enumerate(words):
+                others = bucket[x + 1 :] if same else bucket
+                for b in others:
+                    if edit_distance(nodes[a], nodes[b], alphabet, bound=1) == 1:
+                        edges.add((a, b) if a < b else (b, a))
+    return edges
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,15 @@ def test_no_arguments_is_usage_error(capsys):
 
 
 def test_unknown_flag_is_usage_error(toy_input):
-    with pytest.raises(SystemExit) as exc:
-        main(["grid", "--input", str(toy_input), "--no-such-flag"])
-    assert exc.value.code == 2
+    for subcommand, *flags in (
+        ("grid", "--no-such-flag"),
+        ("grid", "--threads", "2"),
+        ("validate", "--threads", "2"),
+        ("network", "--strategy", "buckets"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--input", str(toy_input), *flags])
+        assert exc.value.code == 2, flags
 
 
 def test_missing_file_is_data_error(capsys):
@@ -150,6 +156,28 @@ def test_path_subcommand(toy_input, capsys):
         "--from", "ychedy", "--to", "kchedy",
     ]) == 0
     assert "ychedy -> chedy -> kchedy" in capsys.readouterr().out
+
+
+def test_path_without_connection_is_data_error(toy_input, capsys):
+    assert main([
+        "path", "--input", str(toy_input), "--min-freq", "1",
+        "--from", "ychedy", "--to", "daiin",
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no path from 'ychedy' to 'daiin'" in captured.err
+
+
+def test_out_into_missing_directory_is_data_error(toy_input, tmp_path, capsys):
+    missing = tmp_path / "no_such_dir" / "x.csv"
+    for argv in (
+        ["grid", "--out", str(missing)],
+        ["stats", "--rank-frequency-out", str(missing)],
+    ):
+        assert main([*argv, "--input", str(toy_input)]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot write {missing}" in err
+        assert "Traceback" not in err
 
 
 def test_generate_validate_pipeline(tmp_path):

@@ -11,7 +11,9 @@ from selfcite.corpus import (
     parse_plaintext,
     parse_transliteration,
 )
+from selfcite.cooccur import GridSpec, compute_grid
 from selfcite.editdist import Alphabet, SegmentationError
+from selfcite.posstats import positional_stats
 from selfcite.profiles import load_profile
 
 VMS = load_profile("vms").alphabet
@@ -238,6 +240,25 @@ def test_filter_pages_lines_become_adjacent():
     )
     kept = filter_pages(corpus, {"f1r", "f3r"})
     assert [l.locus.page for l in kept.lines] == ["f1r", "f3r"]
+
+
+def _grid_of(corpus):
+    return compute_grid(corpus, GridSpec(alphabet=VMS))
+
+
+def _stats_of(corpus):
+    profile = load_profile("vms")
+    return positional_stats(
+        corpus, profile.gallows, profile.prefixes, profile.line_final_glyphs
+    )
+
+
+@pytest.mark.parametrize("consumer", [_grid_of, _stats_of],
+                         ids=["compute_grid", "positional_stats"])
+def test_unnormalized_corpus_rejected_naming_token(consumer):
+    corpus = parse_transliteration("<f1r.P.1> chedy.ol\n<f1r.P.2> daiin")
+    with pytest.raises(ValueError, match=r"token 'chedy' .*normalize the corpus"):
+        consumer(corpus)
 
 
 # ---------------------------------------------------------------------------

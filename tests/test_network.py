@@ -15,6 +15,8 @@ from selfcite.network import (
 )
 from selfcite.profiles import load_profile
 
+from helpers import bucket_edges
+
 VMS = load_profile("vms").alphabet
 
 
@@ -63,12 +65,11 @@ def test_strategies_agree_on_random_tables():
             {w: TypeInfo(rng.randrange(1, 12), alphabet.segment(w))
              for w in words}
         )
-        by_neighbors = build_graph(table, alphabet, min_freq=3,
-                                   strategy="neighbors")
-        by_buckets = build_graph(table, alphabet, min_freq=3,
-                                 strategy="buckets")
-        assert by_neighbors.nodes == by_buckets.nodes, trial
-        assert by_neighbors.edges() == by_buckets.edges(), trial
+        frequent = {w: info.graphemes for w, info in table.entries.items()
+                    if info.count >= 3}
+        graph = build_graph(table, alphabet, min_freq=3)
+        assert graph.nodes == set(frequent), trial
+        assert graph.edges() == bucket_edges(frequent, alphabet), trial
 
 
 def test_strategies_agree_on_larger_table():
@@ -82,9 +83,8 @@ def test_strategies_agree_on_larger_table():
     table = TypeTable(
         {w: TypeInfo(rng.randrange(4, 20), alphabet.segment(w)) for w in words}
     )
-    a = build_graph(table, alphabet, strategy="neighbors").edges()
-    b = build_graph(table, alphabet, strategy="buckets").edges()
-    assert a == b
+    nodes = {w: info.graphemes for w, info in table.entries.items()}
+    assert build_graph(table, alphabet).edges() == bucket_edges(nodes, alphabet)
 
 
 def test_every_edge_is_distance_one():
