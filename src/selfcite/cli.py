@@ -12,8 +12,10 @@ value), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -48,16 +50,37 @@ def _sha256(path: Path) -> str:
 
 
 def _read_text(path: str) -> str:
+    """The file's text, without a leading byte-order mark (which would
+    otherwise make the first locus tag malformed)."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"cannot read {path}: not UTF-8 "
+            f"(byte 0x{data[exc.start]:02x} at offset {exc.start})"
+        ) from None
 
 
 def _write_bytes(path: Path, data: bytes) -> None:
+    """Write through a temp file in the same directory, then rename it over
+    ``path``, so a failed write leaves no partial file and any previous one
+    intact. Devices and pipes (e.g. ``/dev/null``) are written in place."""
+    staged = None
     try:
-        path.write_bytes(data)
+        if path.exists() and not path.is_file():
+            path.write_bytes(data)
+        else:
+            staged = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            staged.write_bytes(data)
+            os.replace(staged, path)
     except OSError as exc:
+        if staged is not None:
+            with contextlib.suppress(OSError):
+                staged.unlink(missing_ok=True)
         raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
@@ -312,6 +335,23 @@ def _cmd_rerun(args) -> int:
 # parser construction
 # ---------------------------------------------------------------------------
 
+def _int_at_least(minimum: int):
+    """An argparse ``type=`` that rejects integers below ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
+
+
 def _add_io_options(sub, *, kind=True, profile_default="vms", pages=True):
     sub.add_argument("--input", required=True, help="input corpus file")
     if kind:
@@ -329,7 +369,8 @@ def _add_io_options(sub, *, kind=True, profile_default="vms", pages=True):
     if pages:
         sub.add_argument("--pages", default=None,
                          help="file with one page id per line")
-    sub.add_argument("--min-graphemes", type=int, default=2, dest="min_graphemes",
+    sub.add_argument("--min-graphemes", type=_non_negative_int, default=2,
+                     dest="min_graphemes",
                      help="drop tokens shorter than this many graphemes")
     sub.add_argument("--out", default=None, help="output file (default stdout)")
 
@@ -361,10 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("grid", help="co-occurrence grid")
     _add_io_options(sub)
-    sub.add_argument("--distance", type=int, default=0)
-    sub.add_argument("--rows", type=int, default=9,
+    sub.add_argument("--distance", type=_non_negative_int, default=0)
+    sub.add_argument("--rows", type=_positive_int, default=9,
                      help="number of previous lines in the window")
-    sub.add_argument("--cols", type=int, default=None,
+    sub.add_argument("--cols", type=_positive_int, default=None,
                      help="position offsets each side (default: profile value)")
     sub.add_argument("--drop-line-edges", action="store_true",
                      dest="drop_line_edges",
@@ -388,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--params", default=None, dest="params_file",
                      help="generator parameter JSON (default: packaged values)")
     sub.add_argument("--profile", default="vms")
-    sub.add_argument("--tokens", type=int, default=None)
+    sub.add_argument("--tokens", type=_positive_int, default=None)
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=_cmd_generate)

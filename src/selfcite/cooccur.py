@@ -8,9 +8,17 @@ at or right of the writing position are excluded: only previously written
 words are compared.
 
 Counts are exact integers per cell; proportions are rational values formed
-at render time. The engine deduplicates word-type pairs before computing
-distances, so cost is driven by distinct pairs rather than pair instances,
-and grids for several target distances can be computed in a single pass.
+at render time. Grids for several target distances are computed in a single
+pass:
+
+1. Each cell's pair instances are encoded as canonical type-pair keys,
+   sorted, and reduced at once to distinct keys with a count each (an
+   adjacent-difference mask), so memory follows distinct pairs per cell,
+   not pair instances.
+2. The same sort and mask over all cells' distinct keys gives the distinct
+   pairs of the window, and :func:`selfcite.editdist.bounded_distances`
+   codes them all in one batch.
+3. Each cell tallies its counts per distance code with one ``bincount``.
 """
 
 from __future__ import annotations
@@ -23,7 +31,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from selfcite.corpus import Corpus, require_graphemes
-from selfcite.editdist import Alphabet, bounded_distance_ids
+from selfcite.editdist import Alphabet, bounded_distances
+# Re-exported: bench/spans.py wraps this name here, and its traced run fails
+# without it.
+from selfcite.editdist import bounded_distance_ids  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -88,15 +99,13 @@ class CooccurrenceGrid:
 
 def _corpus_matrices(corpus: Corpus, alphabet: Alphabet):
     """Pad the corpus into (type-id matrix, edge mask, id sequences)."""
-    type_ids: dict[tuple[int, ...], int] = {}
+    type_ids: dict[tuple[str, ...], int] = {}
     rows: list[list[int]] = []
     for line in corpus.lines:
-        row = []
-        for token in line.tokens:
-            encoded = alphabet.encode(require_graphemes(token))
-            tid = type_ids.setdefault(encoded, len(type_ids))
-            row.append(tid)
-        rows.append(row)
+        rows.append([
+            type_ids.setdefault(require_graphemes(token), len(type_ids))
+            for token in line.tokens
+        ])
     width = max(len(r) for r in rows)
     height = len(rows)
     matrix = np.full((height, width), -1, dtype=np.int64)
@@ -106,10 +115,7 @@ def _corpus_matrices(corpus: Corpus, alphabet: Alphabet):
             matrix[n, : len(row)] = row
             edges[n, 0] = True
             edges[n, len(row) - 1] = True
-    seqs = [None] * len(type_ids)
-    for seq, tid in type_ids.items():
-        seqs[tid] = seq
-    return matrix, edges, seqs
+    return matrix, edges, [alphabet.encode(graphemes) for graphemes in type_ids]
 
 
 def _cell_keys(matrix, edges, n_types: int, i: int, j: int, drop_edges: bool):
@@ -135,42 +141,15 @@ def _cell_keys(matrix, edges, n_types: int, i: int, j: int, drop_edges: bool):
     return np.minimum(a, b) * n_types + np.maximum(a, b)
 
 
-def _distance_codes(keys, seqs, n_types: int, alphabet: Alphabet, bound: int):
-    """Distance code per distinct pair key; bound + 1 means "exceeds"."""
-    exceeds = bound + 1
-    lo_ids = keys // n_types
-    hi_ids = keys % n_types
-    lengths = np.fromiter((len(s) for s in seqs), dtype=np.int64, count=len(seqs))
-    codes = np.full(len(keys), exceeds, dtype=np.int64)
-    codes[lo_ids == hi_ids] = 0
-    indel = alphabet.indel_cost
-    # Presence-bitmask lower bound: a grapheme occurring in only one word
-    # costs at least half an edit to reconcile, so popcount(xor) > 2*bound
-    # proves the distance exceeds the bound. Folding ids mod 64 keeps the
-    # bound valid for any inventory size.
-    masks = np.zeros(len(seqs), dtype=np.uint64)
-    for tid, seq in enumerate(seqs):
-        mask = 0
-        for g in seq:
-            mask |= 1 << (g & 63)
-        masks[tid] = mask
-    survivors = (
-        (lo_ids != hi_ids)
-        & (np.abs(lengths[lo_ids] - lengths[hi_ids]) * indel <= bound)
-        & (np.bitwise_count(masks[lo_ids] ^ masks[hi_ids]) <= 2 * bound)
-    )
-    candidates = np.flatnonzero(survivors)
-    sim = alphabet.similar_id_pairs
-    sub_sim = alphabet.similar_substitution_cost
-    sub_dis = alphabet.dissimilar_substitution_cost
-    out = np.empty(len(candidates), dtype=np.int64)
-    lo_list = lo_ids[candidates].tolist()
-    hi_list = hi_ids[candidates].tolist()
-    for pos, (a, b) in enumerate(zip(lo_list, hi_list)):
-        d = bounded_distance_ids(seqs[a], seqs[b], bound, sim, indel, sub_sim, sub_dis)
-        out[pos] = exceeds if d is None else d
-    codes[candidates] = out
-    return codes
+def _distinct(keys):
+    """Sorted distinct keys and how often each occurs; sorts ``keys`` in place."""
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=len(keys)).astype(np.int32)
+    return keys[starts], counts
 
 
 def compute_grids(
@@ -191,28 +170,24 @@ def compute_grids(
     n_types = max(len(seqs), 1)
     cells = list(spec.iter_cells())
     per_cell = [
-        _cell_keys(matrix, edges, n_types, i, j, spec.drop_line_edges)
+        _distinct(_cell_keys(matrix, edges, n_types, i, j, spec.drop_line_edges))
         for i, j in cells
     ]
-
+    all_keys, _ = _distinct(np.concatenate([keys for keys, _ in per_cell]))
     bound = max(distances) + 1
-    nonempty = [k for k in per_cell if len(k)]
-    all_keys = (
-        np.unique(np.concatenate(nonempty)) if nonempty else np.empty(0, dtype=np.int64)
-    )
-    codes = _distance_codes(all_keys, seqs, n_types, spec.alphabet, bound)
+    lo, hi = np.divmod(all_keys, n_types)
+    codes = bounded_distances(seqs, lo, hi, bound, spec.alphabet)
 
-    grids = {
-        d: {cell: GridCell() for cell in cells} for d in distances
-    }
-    for cell, keys in zip(cells, per_cell):
+    grids = {d: {cell: GridCell() for cell in cells} for d in distances}
+    for cell, (keys, counts) in zip(cells, per_cell):
         if not len(keys):
             continue
-        cell_codes = codes[np.searchsorted(all_keys, keys)]
+        tally = np.bincount(
+            codes[np.searchsorted(all_keys, keys)], weights=counts, minlength=bound
+        )
+        pair_count = int(counts.sum())
         for d in distances:
-            gc = grids[d][cell]
-            gc.pair_count = int(len(keys))
-            gc.match_count = int(np.count_nonzero(cell_codes == d))
+            grids[d][cell] = GridCell(pair_count, int(tally[d]))
     return {
         d: CooccurrenceGrid(replace(spec, target_distance=d), grids[d])
         for d in distances

@@ -12,13 +12,21 @@ by a dissimilar one costs ``dissimilar_substitution_cost``. Configurations
 where a dissimilar substitution is dearer than a delete-plus-insert are
 rejected, which keeps the per-symbol costs a metric and the sequence
 distance well behaved.
+
+Two routines share the cost model. :func:`bounded_distance_ids` is the scalar
+banded DP behind :func:`edit_distance`; :func:`bounded_distances` runs the same
+bounded distance for a whole batch of word pairs in numpy, and is what the
+co-occurrence grids use. The scalar routine is the batched one's test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class SegmentationError(ValueError):
@@ -271,6 +279,118 @@ def bounded_distance_ids(
         prev = cur
     value = prev[lb]
     return value if value <= bound else None
+
+
+# Pairs walked together by the batched DP: enough to amortize numpy's
+# per-call overhead over a row, few enough that a chunk's band stays in cache.
+_CHUNK = 8192
+
+
+def bounded_distances(
+    words: Sequence[tuple[int, ...]],
+    a: np.ndarray,
+    b: np.ndarray,
+    bound: int,
+    alphabet: Alphabet,
+) -> np.ndarray:
+    """:func:`bounded_distance_ids` for many pairs at once.
+
+    Pair ``p`` is ``(words[a[p]], words[b[p]])``, where ``words`` holds id
+    sequences as returned by :meth:`Alphabet.encode`. The result holds each
+    pair's distance when it is at most ``bound`` and ``bound + 1`` otherwise,
+    in the smallest unsigned dtype that fits ``bound + 1``.
+
+    Two lower bounds settle most pairs without a DP: the length difference
+    costs at least one indel per grapheme, and a grapheme present in only one
+    word costs at least half an edit, so ``popcount(xor) > 2 * bound`` of the
+    grapheme-presence bitmasks proves the distance exceeds the bound (folding
+    ids mod 64 keeps that valid for any inventory). The rest run a banded DP
+    over the ``2 * (bound // indel) + 1`` diagonals around the main one,
+    grouped by the length of the first word so that each chunk walks its rows
+    together, and a chunk stops once every pair's row minimum exceeds the
+    bound (Ukkonen's cut-off).
+    """
+    inf = bound + 1
+    out = np.full(len(a), inf, dtype=np.min_scalar_type(inf))
+    if not len(a):
+        return out
+    n_graphemes = len(alphabet.graphemes)
+    lengths = np.fromiter(map(len, words), dtype=np.int32, count=len(words))
+    width = int(lengths.max())
+    table = np.full((len(words), width), n_graphemes, dtype=np.intp)
+    table[np.arange(width) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(words), dtype=np.intp, count=int(lengths.sum())
+    )
+    bits = np.left_shift(np.uint64(1), (table & 63).astype(np.uint64))
+    masks = np.bitwise_or.reduce(
+        np.where(table < n_graphemes, bits, np.uint64(0)), axis=1
+    )
+    indel = alphabet.indel_cost
+    # No alignment strays further than ``width`` from the main diagonal.
+    half = min(bound // indel, width)
+    la = lengths[a]
+    lb = lengths[b]
+    todo = np.flatnonzero(
+        (np.abs(la - lb) <= half)
+        & (np.bitwise_count(masks[a] ^ masks[b]) <= 2 * bound)
+    )
+    todo = todo[np.argsort(la[todo])]
+    # Word ids run down the columns, so a chunk's rows come out contiguous;
+    # ``half`` padding rows above the second word cover diagonals left of j=1.
+    a_rows = table.T * (n_graphemes + 1)
+    b_rows = np.full((width + 2 * half, len(words)), n_graphemes, dtype=np.intp)
+    b_rows[half : half + width] = table.T
+    costs = _substitution_costs(alphabet, inf)
+    ends = np.cumsum(np.bincount(la[todo]))
+    start = 0
+    for length, end in enumerate(ends.tolist()):
+        for lo in range(start, end, _CHUNK):
+            pairs = todo[lo : min(lo + _CHUNK, end)]
+            out[pairs] = _band_walk(
+                a_rows[:length, a[pairs]], b_rows[:, b[pairs]],
+                lb[pairs] - length + half, costs, half, indel, inf,
+            )
+        start = end
+    return out
+
+
+def _substitution_costs(alphabet: Alphabet, inf: int) -> np.ndarray:
+    """Flat (G+1)x(G+1) substitution costs; the padding id G costs ``inf``."""
+    n = len(alphabet.graphemes)
+    # The narrowest signed type that holds a capped cell plus one more edit.
+    dtype = np.min_scalar_type(-(2 * inf + 2 * alphabet.indel_cost))
+    costs = np.full(
+        (n + 1, n + 1), alphabet.dissimilar_substitution_cost, dtype=dtype
+    )
+    for x, y in alphabet.similar_id_pairs:
+        costs[x, y] = costs[y, x] = alphabet.similar_substitution_cost
+    np.fill_diagonal(costs, 0)
+    costs[n, :] = costs[:, n] = inf
+    return costs.ravel()
+
+
+def _band_walk(a_rows, b_rows, final_diagonal, costs, half, indel, inf):
+    """Banded DP for a chunk of pairs whose first words share one length.
+
+    ``band[k, p]`` holds D[i][i + k - half] for pair ``p`` at row ``i``,
+    capped at ``inf``. Cells right of the second word's end are not masked:
+    paths only move right and down, so they never reach the cell read at the
+    end, and they can only lower a row minimum, which keeps the cut-off sound.
+    """
+    diagonals = 2 * half + 1
+    n = a_rows.shape[1]
+    band = np.full((diagonals, n), inf, dtype=costs.dtype)
+    band[half:] = (np.arange(half + 1) * indel)[:, None]
+    for i in range(1, len(a_rows) + 1):
+        prev = band
+        band = prev + costs[a_rows[i - 1] + b_rows[i - 1 : i - 1 + diagonals]]
+        np.minimum(band[:-1], prev[1:] + indel, out=band[:-1])
+        for k in range(1, diagonals):
+            np.minimum(band[k], band[k - 1] + indel, out=band[k])
+        np.minimum(band, inf, out=band)
+        if band.min() >= inf:
+            return inf
+    return band[final_diagonal, np.arange(n)]
 
 
 def edit_distance(

@@ -386,9 +386,12 @@ def validate_signature(
     rows n-7..n-9; ``natural_text_contrast`` is the immediate-repetition
     proportion itself, near zero for natural running text.
     """
-    if corpus.token_count() < 2000:
-        raise ValueError("corpus too small: need at least 2000 tokens")
     normalized = normalize(corpus, alphabet, min_graphemes)
+    if normalized.token_count() < 2000:
+        raise ValueError(
+            "corpus too small: need at least 2000 tokens of at least "
+            f"{min_graphemes} graphemes"
+        )
     spec = GridSpec(
         alphabet=alphabet,
         max_line_offset=max_line_offset,

@@ -1,8 +1,13 @@
+import errno
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from selfcite.cli import main
+from selfcite.cli import _read_text, main
+from selfcite.corpus import format_transliteration, parse_transliteration
 
 TOY = """\
 <f1r.P.1> kchedy.chol.daiin
@@ -40,6 +45,20 @@ def test_unknown_flag_is_usage_error(toy_input):
         assert exc.value.code == 2, flags
 
 
+def test_out_of_range_values_are_usage_errors(toy_input, capsys):
+    for argv in (
+        ["grid", "--input", str(toy_input), "--rows", "0"],
+        ["grid", "--input", str(toy_input), "--cols", "0"],
+        ["grid", "--input", str(toy_input), "--distance", "-1"],
+        ["stats", "--input", str(toy_input), "--min-graphemes", "-1"],
+        ["generate", "--tokens", "0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "must be at least" in capsys.readouterr().err
+
+
 def test_missing_file_is_data_error(capsys):
     code = main(["stats", "--input", "/nonexistent/corpus.txt"])
     assert code == 1
@@ -52,6 +71,64 @@ def test_malformed_corpus_names_line(tmp_path, capsys):
     code = main(["stats", "--input", str(bad)])
     assert code == 1
     assert "line 2" in capsys.readouterr().err
+
+
+def test_input_encoding(tmp_path, capsys):
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf" + TOY.encode("utf-8"))
+    assert main(["parse", "--input", str(bom)]) == 0
+    assert capsys.readouterr().out.startswith("<f1r.P.1> kchedy.chol.daiin\n")
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"<f1r.P.1> da\xefiin\n")
+    assert main(["parse", "--input", str(latin1)]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot read {latin1}: not UTF-8 (byte 0xef at offset 12)" in err
+    assert "Traceback" not in err
+
+
+WORDS = ("daiin", "chol", "chedy", "ol", "qokeedy")
+
+
+@st.composite
+def decorated_transliteration(draw):
+    """A clean transliteration and the same text as bytes with CRLF line
+    ends, a byte-order mark, comment lines and extra blank lines mixed in."""
+    paragraphs = draw(st.lists(
+        st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=4),
+                 min_size=1, max_size=3),
+        min_size=1, max_size=4,
+    ))
+    clean: list[str] = []
+    decorated = [""] * draw(st.integers(0, 2))
+    line_no = 0
+    for p, paragraph in enumerate(paragraphs):
+        if p:
+            clean.append("")
+            decorated += draw(st.lists(st.sampled_from(["", " ", "\t"]),
+                                       min_size=1, max_size=3))
+        for tokens in paragraph:
+            line_no += 1
+            if draw(st.booleans()):
+                decorated.append("# comment <f9v.P.1> not a line")
+            line = f"<f1r.P.{line_no}> {'.'.join(tokens)}"
+            clean.append(line)
+            decorated.append(line)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    raw = (bom + newline.join(decorated) + newline).encode("utf-8")
+    return "\n".join(clean) + "\n", raw
+
+
+@given(decorated_transliteration())
+@settings(max_examples=60, deadline=None)
+def test_parse_format_parse_round_trip(case):
+    clean, raw = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.txt"
+        path.write_bytes(raw)
+        parsed = parse_transliteration(_read_text(str(path)))
+    assert parsed == parse_transliteration(clean)
+    assert parse_transliteration(format_transliteration(parsed)) == parsed
 
 
 def test_parse_roundtrip(toy_input, tmp_path, capsys):
@@ -178,6 +255,21 @@ def test_out_into_missing_directory_is_data_error(toy_input, tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"cannot write {missing}" in err
         assert "Traceback" not in err
+
+
+def test_failed_write_keeps_previous_output(toy_input, tmp_path, capsys,
+                                           monkeypatch):
+    out = tmp_path / "grid.csv"
+    out.write_bytes(b"previous\n")
+
+    def no_space(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr("selfcite.cli.os.replace", no_space)
+    assert main(["grid", "--input", str(toy_input), "--out", str(out)]) == 1
+    assert out.read_bytes() == b"previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.csv", "toy.txt"]
+    assert f"cannot write {out}: No space left on device" in capsys.readouterr().err
 
 
 def test_generate_validate_pipeline(tmp_path):

@@ -101,6 +101,19 @@ def test_token_less_lines_still_count_as_lines():
     assert _counts(grid) == recount
 
 
+@pytest.mark.parametrize("lines", [
+    [["x"]],                           # no pair at all: an empty batch
+    [["x", "x"], ["x", "x", "x"]],     # one type: only equal pairs
+    [["x", "xyzxy", "yzyzyzyzy"]],     # no pair survives the length prefilter
+], ids=["no_pairs", "one_type", "all_pruned"])
+def test_degenerate_corpora_match_brute_force(lines):
+    corpus = _corpus(lines, XYZ)
+    spec = GridSpec(alphabet=XYZ, max_line_offset=2, max_pos_offset=2)
+    grids = compute_grids(corpus, spec, (0, 1))
+    for d, grid in grids.items():
+        assert _counts(grid) == brute_force_grid_counts(corpus, XYZ, 2, 2, d)
+
+
 def test_row_zero_right_side_excluded():
     corpus = _corpus([["x", "y"], ["x", "z"]], XYZ)
     grid = compute_grid(corpus, GridSpec(alphabet=XYZ, max_line_offset=1,

@@ -1,10 +1,18 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selfcite.editdist import Alphabet, SegmentationError, are_similar, edit_distance
+from selfcite.editdist import (
+    Alphabet,
+    SegmentationError,
+    are_similar,
+    bounded_distance_ids,
+    bounded_distances,
+    edit_distance,
+)
 
 from helpers import naive_distance
 
@@ -217,3 +225,76 @@ def alphabet_and_pair(draw):
 def test_oracle_equivalence_across_cost_profiles(case):
     alphabet, a, b = case
     assert edit_distance(a, b, alphabet) == naive_distance(a, b, alphabet)
+
+
+# ---------------------------------------------------------------------------
+# batched DP against the scalar routine
+# ---------------------------------------------------------------------------
+
+# indel 2 with a dissimilar substitution of 3: the band is bound // 2 wide and
+# odd bounds fall between attainable costs
+WIDE_INDEL = Alphabet(
+    graphemes=("a", "b", "c", "d"),
+    similarity_groups=(frozenset({"a", "b"}), frozenset({"c", "d"})),
+    similar_substitution_cost=1,
+    dissimilar_substitution_cost=3,
+    indel_cost=2,
+)
+BATCH_PROFILES = {"vms_like": VMS_LIKE, "plain": PLAIN, "tiny": TINY,
+                  "wide_indel": WIDE_INDEL}
+
+
+def _batch_words(rng, alphabet, bound):
+    """Random id words, some of one grapheme, each followed by a mutated copy
+    and by an extension whose length differs by exactly the band half-width;
+    returns the words and the (word, derived word) index pairs."""
+    n = len(alphabet.graphemes)
+    half = bound // alphabet.indel_cost
+    words = []
+    derived = []
+    for k in range(60):
+        length = 1 if k < 6 else rng.randrange(1, 8)
+        word = tuple(rng.randrange(n) for _ in range(length))
+        mutated = list(word)
+        for _ in range(rng.randrange(3)):
+            mutated[rng.randrange(len(mutated))] = rng.randrange(n)
+        extended = word + tuple(rng.randrange(n) for _ in range(half))
+        derived += [(len(words), len(words) + 1), (len(words), len(words) + 2)]
+        words += [word, tuple(mutated), extended]
+    return words, derived
+
+
+@pytest.mark.parametrize("bound", range(6))
+@pytest.mark.parametrize("profile", sorted(BATCH_PROFILES))
+def test_batched_distances_match_scalar(profile, bound):
+    alphabet = BATCH_PROFILES[profile]
+    rng = random.Random(bound)
+    words, derived = _batch_words(rng, alphabet, bound)
+    same = [(i, i) for i in range(len(words))]
+    random_pairs = [(rng.randrange(len(words)), rng.randrange(len(words)))
+                    for _ in range(1500)]
+    a, b = zip(*(same + derived + random_pairs))
+    got = bounded_distances(words, np.array(a), np.array(b), bound, alphabet)
+    expected = [
+        bounded_distance_ids(
+            words[i], words[j], bound, alphabet.similar_id_pairs,
+            alphabet.indel_cost, alphabet.similar_substitution_cost,
+            alphabet.dissimilar_substitution_cost,
+        )
+        for i, j in zip(a, b)
+    ]
+    assert got.tolist() == [bound + 1 if d is None else d for d in expected]
+    # the derived pairs reach the band's edge: some land within the bound
+    assert any(d is not None and d > 0 for d in expected[len(same):]) or bound == 0
+
+
+def test_batched_distances_edge_cases():
+    empty = np.empty(0, dtype=np.int64)
+    assert bounded_distances([(0, 1)], empty, empty, 3, TINY).tolist() == []
+    # a bound wider than every word, the empty one included: all exact
+    strings = tiny_strings(3)
+    a, b = np.divmod(np.arange(len(strings) ** 2), len(strings))
+    got = bounded_distances([TINY.encode(s) for s in strings], a, b, 40, TINY)
+    assert got.tolist() == [
+        naive_distance(strings[i], strings[j], TINY) for i, j in zip(a, b)
+    ]

@@ -228,6 +228,18 @@ def test_validate_rejects_small_corpus():
         validate_signature(corpus, VMS)
 
 
+def test_validate_floor_counts_tokens_after_normalization():
+    # 2100 raw tokens, of which only 1500 have the two graphemes normalize keeps
+    text = "\n".join(
+        f"<f1r.P.{i + 1}> " + ".".join(["daiin"] * 5 + ["y"] * 2) for i in range(300)
+    )
+    corpus = parse_transliteration(text)
+    assert corpus.token_count() == 2100
+    assert normalize(corpus, VMS).token_count() == 1500
+    with pytest.raises(ValueError, match="2000 tokens"):
+        validate_signature(corpus, VMS)
+
+
 def test_validate_saturated_corpus_has_unit_lift():
     text = "\n".join(
         f"<f1r.P.{i + 1}> " + ".".join(["daiin"] * 8) for i in range(300)
