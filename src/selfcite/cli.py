@@ -29,6 +29,7 @@ from selfcite.corpus import (
     normalize,
     parse_plaintext,
     parse_transliteration,
+    read_text,
 )
 from selfcite.cooccur import GridSpec, compute_grid, render_grid
 from selfcite.editdist import SegmentationError
@@ -47,22 +48,6 @@ RNG_ALGORITHM = "python-random-mt19937"
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _read_text(path: str) -> str:
-    """The file's text, without a leading byte-order mark (which would
-    otherwise make the first locus tag malformed)."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
-    try:
-        return data.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise ValueError(
-            f"cannot read {path}: not UTF-8 "
-            f"(byte 0x{data[exc.start]:02x} at offset {exc.start})"
-        ) from None
 
 
 def _write_bytes(path: Path, data: bytes) -> None:
@@ -86,7 +71,7 @@ def _write_bytes(path: Path, data: bytes) -> None:
 
 def _load_pageset(path: str) -> set[str]:
     pages = set()
-    for line in _read_text(path).splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             pages.add(line)
@@ -97,7 +82,7 @@ def _load_pageset(path: str) -> set[str]:
 
 def _load_corpus(args) -> tuple[object, Profile]:
     """Parse the input file and resolve the profile for it."""
-    text = _read_text(args.input)
+    text = read_text(args.input)
     if args.kind == "plaintext":
         corpus = parse_plaintext(text)
     else:
@@ -304,7 +289,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_rerun(args) -> int:
-    manifest = json.loads(_read_text(args.manifest))
+    manifest = json.loads(read_text(args.manifest))
     for entry in manifest["inputs"]:
         path = Path(entry["path"])
         if not path.exists():

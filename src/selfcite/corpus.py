@@ -26,7 +26,8 @@ from __future__ import annotations
 import re
 import string
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Iterator
 
 from selfcite.editdist import Alphabet
@@ -130,6 +131,33 @@ _LOCUS_RE = re.compile(
 _BRACE_RE = re.compile(r"\{[^}]*\}")
 _SEPARATORS_RE = re.compile(r"[.,\s=-]+")
 _EDGE_PUNCT = string.punctuation + "‘’“”«»–—…"
+
+
+def read_bytes(path: str | Path) -> bytes:
+    """The file's bytes; a failed read raises a ValueError naming it."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def decode_text(data: bytes, path: str | Path) -> str:
+    """``data``, read from ``path``, as UTF-8 text without a leading
+    byte-order mark (which would otherwise make the first locus tag
+    malformed). A byte that is not UTF-8 raises a ValueError naming the
+    path and the byte's offset."""
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"cannot read {path}: not UTF-8 "
+            f"(byte 0x{data[exc.start]:02x} at offset {exc.start})"
+        ) from None
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of the file at ``path``; see :func:`decode_text`."""
+    return decode_text(read_bytes(path), path)
 
 
 #: One retained source line: its locus, its tokens and its paragraph id.
@@ -250,20 +278,32 @@ def parse_plaintext(text: str, options: PlainOptions = PlainOptions()) -> Corpus
 
 
 def normalize(corpus: Corpus, alphabet: Alphabet, min_graphemes: int = 2) -> Corpus:
-    """Segment every token and drop those shorter than ``min_graphemes``.
+    """Segment every distinct word and drop tokens shorter than ``min_graphemes``.
 
-    Lines left without tokens are removed; paragraph flags are rederived so
-    each surviving paragraph still has an initial and a final line.
-    Idempotent. Raises :class:`selfcite.editdist.SegmentationError` for
-    tokens the alphabet cannot segment.
+    Each distinct raw word is segmented once, and all its occurrences share
+    one segmented :class:`Token`. Lines left without tokens are removed;
+    paragraph flags are rederived so each surviving paragraph still has an
+    initial and a final line. Idempotent. Raises
+    :class:`selfcite.editdist.SegmentationError` for words the alphabet
+    cannot segment.
     """
+    # raw word -> its segmented token, or None when it is too short to keep
+    by_raw: dict[str, Token | None] = {}
     kept: list[LineRecord] = []
     for line in corpus.lines:
         tokens = []
         for token in line.tokens:
-            graphemes = alphabet.segment(token.raw)
-            if len(graphemes) >= min_graphemes:
-                tokens.append(replace(token, graphemes=graphemes))
+            try:
+                segmented = by_raw[token.raw]
+            except KeyError:
+                graphemes = alphabet.segment(token.raw)
+                segmented = by_raw[token.raw] = (
+                    Token(token.raw, graphemes)
+                    if len(graphemes) >= min_graphemes
+                    else None
+                )
+            if segmented is not None:
+                tokens.append(segmented)
         if tokens:
             kept.append((line.locus, tuple(tokens), line.paragraph_id))
     if not kept:

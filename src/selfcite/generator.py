@@ -20,7 +20,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from importlib import resources
+from itertools import accumulate, chain
 from pathlib import Path
 
 from selfcite.corpus import (
@@ -31,6 +33,7 @@ from selfcite.corpus import (
     Token,
     assemble_corpus,
     normalize,
+    read_text,
 )
 from selfcite.cooccur import GridSpec, compute_grids
 from selfcite.editdist import Alphabet
@@ -153,8 +156,11 @@ class GeneratorParams:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "GeneratorParams":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        try:
+            data = json.loads(read_text(path))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed generator parameters {path}: {exc}") from None
+        return cls.from_dict(data)
 
     @classmethod
     def defaults(cls) -> "GeneratorParams":
@@ -165,18 +171,24 @@ class GeneratorParams:
         return replace(self, **changes)
 
 
-def _draw(rng: random.Random, distribution) -> int:
-    values = [k for k, _ in distribution]
-    weights = [v for _, v in distribution]
-    return rng.choices(values, weights)[0]
+def _cumulative(distribution) -> tuple[tuple, tuple[float, ...]]:
+    """Values and running weight totals of a distribution, for
+    ``rng.choices(values, cum_weights=...)``; the totals are the ones
+    ``choices`` itself would accumulate from the plain weights."""
+    return (
+        tuple(k for k, _ in distribution),
+        tuple(accumulate(v for _, v in distribution)),
+    )
 
 
-def _mutate(seq, rng, alphabet, params):
+def _draw(rng: random.Random, cumulative) -> int:
+    values, cum_weights = cumulative
+    return rng.choices(values, cum_weights=cum_weights)[0]
+
+
+def _mutate(seq, rng, alphabet, params, insertable):
     """Apply one cost-1 edit, never producing an empty token."""
     partners = alphabet.similar_partners
-    insertable = tuple(
-        g for g in alphabet.graphemes if g not in params.excluded_graphemes
-    ) or alphabet.graphemes
     kinds = []
     weights = []
     for kind, weight in params.mutation_kind_weights:
@@ -202,26 +214,47 @@ def _mutate(seq, rng, alphabet, params):
     return seq[:pos] + (rng.choice(partners[seq[pos]]),) + seq[pos + 1 :]
 
 
-def _canonical(word: tuple[str, ...], alphabet: Alphabet) -> tuple[str, ...]:
+def _canonical(
+    word: tuple[str, ...], alphabet: Alphabet, segmented: dict[str, tuple[str, ...]]
+) -> tuple[str, ...]:
     # Mutations and prepends can abut characters that segment as one
     # grapheme (e.g. c + h); re-segmenting keeps tokens canonical so the
-    # grapheme sequence always matches the surface form.
-    return alphabet.segment("".join(word))
+    # grapheme sequence always matches the surface form. ``segmented``
+    # memoises the segmentation of each surface form.
+    raw = "".join(word)
+    graphemes = segmented.get(raw)
+    if graphemes is None:
+        graphemes = segmented[raw] = alphabet.segment(raw)
+    return graphemes
+
+
+def _token(word: tuple[str, ...], made: dict[tuple[str, ...], Token]) -> Token:
+    """The one token of ``word`` in ``made``, created on first use."""
+    token = made.get(word)
+    if token is None:
+        token = made[word] = Token(raw="".join(word), graphemes=word)
+    return token
+
+
+@lru_cache(maxsize=4096)
+def _line_weights(bias: str, i: int, length: int, m: int) -> tuple[float, ...]:
+    """Kernel weights of the words of the line ``i`` lines above the current
+    one (0 = the current line), for the word being written at position ``m``."""
+    kernel = SOURCE_BIAS_KERNELS[bias]
+    return tuple(kernel(i, p, m) for p in range(length))
 
 
 def _pick_source(history, current_line, m, rng, params):
     """Weighted draw of a source word from the recent writing window."""
-    kernel = SOURCE_BIAS_KERNELS[params.source_position_bias]
     depth = params.source_window_lines - 1
     window = [current_line] + (history[-depth:][::-1] if depth else [])
-    candidates = []
-    weights = []
-    for i, line in enumerate(window):
-        for p, word in enumerate(line):
-            candidates.append(word)
-            weights.append(kernel(i, p, m))
+    candidates = list(chain.from_iterable(window))
     if not candidates:
         return None
+    bias = params.source_position_bias
+    weights = list(chain.from_iterable(
+        _line_weights(bias, i, len(line), m) for i, line in enumerate(window)
+    ))
     return rng.choices(candidates, weights)[0]
 
 
@@ -237,6 +270,14 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
         for g in getattr(params, name):
             if g not in alphabet:
                 raise ValueError(f"{name} entry {g!r} is not in the alphabet")
+    insertable = tuple(
+        g for g in alphabet.graphemes if g not in params.excluded_graphemes
+    ) or alphabet.graphemes
+    paragraph_lengths = _cumulative(params.paragraph_length_distribution)
+    line_lengths = _cumulative(params.line_length_distribution)
+    mutation_counts = _cumulative(params.mutation_count_distribution)
+    segmented: dict[str, tuple[str, ...]] = {}
+    made: dict[tuple[str, ...], Token] = {}
     rng = random.Random(params.rng_seed)
     history: list[list[tuple[str, ...]]] = []
     emitted = 0
@@ -247,14 +288,14 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
     para_id = 0
 
     while emitted < params.target_token_count:
-        para_len = _draw(rng, params.paragraph_length_distribution)
+        para_len = _draw(rng, paragraph_lengths)
         if page_lines and page_lines + para_len > _PAGE_CAPACITY_LINES:
             page_no += 1
             page_lines = 0
         for line_idx in range(para_len):
             if emitted >= params.target_token_count:
                 break
-            line_len = _draw(rng, params.line_length_distribution)
+            line_len = _draw(rng, line_lengths)
             current: list[tuple[str, ...]] = []
             added_initial = False
             first_base: tuple[str, ...] | None = None
@@ -278,10 +319,10 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
                     if word is None:
                         word = seeds[rng.randrange(len(seeds))]
                     else:
-                        k = _draw(rng, params.mutation_count_distribution)
+                        k = _draw(rng, mutation_counts)
                         for _ in range(k):
-                            word = _mutate(word, rng, alphabet, params)
-                        word = _canonical(word, alphabet)
+                            word = _mutate(word, rng, alphabet, params, insertable)
+                        word = _canonical(word, alphabet, segmented)
                 if m == 0:
                     first_base = word
                     if line_idx == 0:
@@ -291,14 +332,14 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
                             < params.paragraph_initial_gallows_probability
                         ):
                             added = rng.choice(params.gallows_graphemes)
-                            word = _canonical((added,) + word, alphabet)
+                            word = _canonical((added,) + word, alphabet, segmented)
                             added_initial = True
                     elif (
                         params.prefix_graphemes
                         and rng.random() < params.line_initial_prefix_probability
                     ):
                         added = rng.choice(params.prefix_graphemes)
-                        word = _canonical((added,) + word, alphabet)
+                        word = _canonical((added,) + word, alphabet, segmented)
                         added_initial = True
                 if (
                     m == line_len - 1
@@ -306,7 +347,9 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
                     and rng.random() < params.line_final_glyph_probability
                 ):
                     word = _canonical(
-                        word + (rng.choice(params.line_final_glyphs),), alphabet
+                        word + (rng.choice(params.line_final_glyphs),),
+                        alphabet,
+                        segmented,
                     )
                 current.append(word)
                 emitted += 1
@@ -318,9 +361,7 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
                     line_no=page_lines,
                     raw_tag=f"<g{page_no:03d}.P.{page_lines}>",
                 )
-                tokens = tuple(
-                    Token(raw="".join(word), graphemes=word) for word in current
-                )
+                tokens = tuple(_token(word, made) for word in current)
                 lines.append((locus, tokens, para_id))
                 history.append(current)
         para_id += 1

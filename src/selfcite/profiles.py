@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from selfcite.corpus import Corpus
+from selfcite.corpus import Corpus, decode_text, read_bytes
 from selfcite.editdist import Alphabet
 
 BUILTIN_PROFILES = ("vms",)
@@ -99,10 +99,10 @@ def load_profile(spec: str | Path) -> Profile:
                 f"profile {spec!r} is neither a builtin name "
                 f"({', '.join(BUILTIN_PROFILES)}) nor an existing file"
             )
-        raw = path.read_bytes()
+        raw = read_bytes(path)
         name = path.stem
     try:
-        data = json.loads(raw)
+        data = json.loads(decode_text(raw, spec))
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed profile {name!r}: {exc}") from None
     return _profile_from_dict(data, name, hashlib.sha256(raw).hexdigest())

@@ -3,15 +3,22 @@
 These stay deliberately naive: the recursive distance explores every edit
 at every step, the grid recount walks every token pair with nested loops,
 and the network oracle compares every pair of types whose lengths differ by
-at most one. None shares code with the library internals it checks. The
-hand-enumerated grid cases live here too, shared between the unit tests
-and the acceptance suite.
+at most one. The normalization oracle segments every occurrence, and the
+generator oracles call the source kernel once per candidate and rebuild
+each distribution's weights per draw; the memoised library versions must
+match them RNG call for RNG call. Apart from the kernel table and
+``assemble_corpus``, none shares code with the library internals it
+checks. The hand-enumerated grid cases live here too, shared between the
+unit tests and the acceptance suite.
 """
 
 from __future__ import annotations
 
-from selfcite.corpus import Corpus
+from dataclasses import replace
+
+from selfcite.corpus import Corpus, assemble_corpus
 from selfcite.editdist import Alphabet, are_similar, edit_distance
+from selfcite.generator import SOURCE_BIAS_KERNELS
 
 
 def naive_distance(a, b, alphabet: Alphabet) -> int:
@@ -106,6 +113,45 @@ def bucket_edges(nodes: dict[str, tuple[str, ...]], alphabet: Alphabet):
                     if edit_distance(nodes[a], nodes[b], alphabet, bound=1) == 1:
                         edges.add((a, b) if a < b else (b, a))
     return edges
+
+
+def oracle_normalize(corpus: Corpus, alphabet: Alphabet, min_graphemes: int) -> Corpus:
+    """Normalization segmenting every token occurrence on its own."""
+    kept = []
+    for line in corpus.lines:
+        tokens = []
+        for token in line.tokens:
+            graphemes = alphabet.segment(token.raw)
+            if len(graphemes) >= min_graphemes:
+                tokens.append(replace(token, graphemes=graphemes))
+        if tokens:
+            kept.append((line.locus, tuple(tokens), line.paragraph_id))
+    if not kept:
+        raise ValueError("empty corpus")
+    return assemble_corpus(kept, corpus.source_kind)
+
+
+def oracle_pick_source(history, current_line, m, rng, params):
+    """Source draw calling the kernel once per candidate word."""
+    kernel = SOURCE_BIAS_KERNELS[params.source_position_bias]
+    depth = params.source_window_lines - 1
+    window = [current_line] + (history[-depth:][::-1] if depth else [])
+    candidates = []
+    weights = []
+    for i, line in enumerate(window):
+        for p, word in enumerate(line):
+            candidates.append(word)
+            weights.append(kernel(i, p, m))
+    if not candidates:
+        return None
+    return rng.choices(candidates, weights)[0]
+
+
+def oracle_draw(rng, distribution) -> int:
+    """Distribution draw rebuilding the value and weight lists each call."""
+    values = [k for k, _ in distribution]
+    weights = [v for _, v in distribution]
+    return rng.choices(values, weights)[0]
 
 
 # ---------------------------------------------------------------------------

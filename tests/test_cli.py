@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selfcite.cli import _read_text, main
-from selfcite.corpus import format_transliteration, parse_transliteration
+from selfcite.cli import main
+from selfcite.corpus import format_transliteration, parse_transliteration, read_text
 
 TOY = """\
 <f1r.P.1> kchedy.chol.daiin
@@ -86,6 +86,24 @@ def test_input_encoding(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["profile", "--profile"],
+    ["generate", "--tokens", "5", "--params"],
+], ids=["profile", "params"])
+def test_settings_file_errors_name_the_file(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"name": "x\xff"}')
+    assert main(argv + [str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot read {bad}: not UTF-8 (byte 0xff at offset 11)" in err
+    # a missing file or a directory is a data error too, not a traceback
+    for path in (tmp_path / "missing.json", tmp_path):
+        assert main(argv + [str(path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "Traceback" not in err
+
+
 WORDS = ("daiin", "chol", "chedy", "ol", "qokeedy")
 
 
@@ -126,7 +144,7 @@ def test_parse_format_parse_round_trip(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.txt"
         path.write_bytes(raw)
-        parsed = parse_transliteration(_read_text(str(path)))
+        parsed = parse_transliteration(read_text(str(path)))
     assert parsed == parse_transliteration(clean)
     assert parse_transliteration(format_transliteration(parsed)) == parsed
 

@@ -16,6 +16,8 @@ from selfcite.editdist import Alphabet, SegmentationError
 from selfcite.posstats import positional_stats
 from selfcite.profiles import load_profile
 
+from helpers import oracle_normalize
+
 VMS = load_profile("vms").alphabet
 
 
@@ -170,9 +172,11 @@ def test_normalize_counts_graphemes_not_characters():
 
 def test_normalize_unsegmentable_token_errors():
     alphabet = Alphabet(graphemes=("q", "a"))
-    corpus = parse_transliteration("<f1r.P.1> qx")
-    with pytest.raises(SegmentationError, match="qx"):
-        normalize(corpus, alphabet)
+    # the second text repeats the bad word after a good one is memoised
+    for text in ("<f1r.P.1> qx", "<f1r.P.1> qa.qx\n<f1r.P.2> qa.qx"):
+        corpus = parse_transliteration(text)
+        with pytest.raises(SegmentationError, match="qx"):
+            normalize(corpus, alphabet)
 
 
 def test_normalize_drops_emptied_lines_and_reflags():
@@ -206,6 +210,33 @@ def test_normalize_idempotent_random(token_lines):
     except ValueError:
         return  # everything got dropped
     assert normalize(once, VMS) == once
+
+
+# short pool, so words repeat; "ol"/"ols" share a prefix
+NORMALIZE_WORDS = ["daiin", "ol", "ols", "y", "chedy", "s", "o", "qokchy"]
+
+
+@given(
+    st.lists(
+        st.lists(st.sampled_from(NORMALIZE_WORDS), min_size=1, max_size=8),
+        min_size=1, max_size=8,
+    ),
+    st.integers(0, 3),
+)
+def test_normalize_matches_per_token_oracle(token_lines, min_graphemes):
+    text = "\n".join(
+        f"<f1r.P.{i+1}> {'.'.join(tokens)}" for i, tokens in enumerate(token_lines)
+    )
+    corpus = parse_transliteration(text)
+    try:
+        expected = oracle_normalize(corpus, VMS, min_graphemes)
+    except ValueError:
+        with pytest.raises(ValueError, match="empty corpus"):
+            normalize(corpus, VMS, min_graphemes)
+        return
+    once = normalize(corpus, VMS, min_graphemes)
+    assert once == expected
+    assert normalize(once, VMS, min_graphemes) == once
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,26 @@
 import hashlib
+import random
+import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from selfcite.corpus import format_transliteration, normalize, parse_transliteration
 from selfcite.generator import (
+    SOURCE_BIAS_KERNELS,
     GeneratorParams,
+    _cumulative,
+    _draw,
+    _pick_source,
     generate,
     shuffle_control,
     validate_signature,
 )
 from selfcite.posstats import positional_stats
 from selfcite.profiles import load_profile
+
+from helpers import oracle_draw, oracle_pick_source
 
 PROFILE = load_profile("vms")
 VMS = PROFILE.alphabet
@@ -45,6 +54,14 @@ def test_params_reject_unknown_mutation_kind():
 def test_params_reject_unknown_field():
     with pytest.raises(ValueError, match="unknown generator parameters"):
         GeneratorParams.from_dict({"coppy_probability": 0.5})
+
+
+def test_params_file_with_bad_json_is_named(tmp_path):
+    path = tmp_path / "params.json"
+    path.write_text('{"rng_seed": ', encoding="utf-8")
+    message = re.escape(f"malformed generator parameters {path}")
+    with pytest.raises(ValueError, match=message):
+        GeneratorParams.from_file(path)
 
 
 def test_defaults_load_from_packaged_file():
@@ -109,6 +126,49 @@ def test_output_matches_pinned_digest(overrides, digest):
     params = GeneratorParams.defaults().replace(target_token_count=3000, **overrides)
     text = format_transliteration(generate(params, VMS))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def _window_lines(lengths, tag):
+    # every word is distinct, so equal draws mean the same candidate index
+    return [[(tag, str(n), str(p)) for p in range(length)]
+            for n, length in enumerate(lengths)]
+
+
+@given(
+    bias=st.sampled_from(sorted(SOURCE_BIAS_KERNELS)),
+    window_lines=st.integers(1, 10),
+    history_lengths=st.lists(st.integers(0, 12), max_size=12),
+    current_length=st.integers(0, 12),
+    m=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pick_source_matches_per_candidate_oracle(
+    bias, window_lines, history_lengths, current_length, m, seed
+):
+    params = GeneratorParams(
+        source_position_bias=bias, source_window_lines=window_lines
+    )
+    history = _window_lines(history_lengths, "h")
+    current = _window_lines([current_length], "c")[0]
+    fast, slow = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert _pick_source(history, current, m, fast, params) == (
+            oracle_pick_source(history, current, m, slow, params)
+        )
+        assert fast.getstate() == slow.getstate()
+
+
+@given(
+    weights=st.lists(st.floats(0.001, 1.0), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_draw_matches_per_call_oracle(weights, seed):
+    distribution = tuple((k, w / sum(weights)) for k, w in enumerate(weights))
+    cumulative = _cumulative(distribution)
+    fast, slow = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        assert _draw(fast, cumulative) == oracle_draw(slow, distribution)
+        assert fast.getstate() == slow.getstate()
 
 
 def test_different_seeds_differ():
