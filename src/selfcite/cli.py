@@ -288,8 +288,37 @@ def _cmd_profile(args) -> int:
     return 0
 
 
+def _is_file_list(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(entry, dict)
+        and isinstance(entry.get("path"), str)
+        and isinstance(entry.get("sha256"), str)
+        for entry in value
+    )
+
+
+def _load_manifest(path: str) -> dict:
+    """The manifest at ``path``, checked for the fields ``rerun`` reads."""
+    text = read_text(path)
+    try:
+        manifest = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed manifest {path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        problem = f"expected a JSON object, got {type(manifest).__name__}"
+    elif not all(_is_file_list(manifest.get(key)) for key in ("inputs", "outputs")):
+        problem = "'inputs' and 'outputs' must be lists of {path, sha256} objects"
+    elif not isinstance(manifest.get("argv"), list) or not all(
+        isinstance(token, str) for token in manifest["argv"]
+    ):
+        problem = "'argv' must be a list of strings"
+    else:
+        return manifest
+    raise ValueError(f"malformed manifest {path}: {problem}")
+
+
 def _cmd_rerun(args) -> int:
-    manifest = json.loads(read_text(args.manifest))
+    manifest = _load_manifest(args.manifest)
     for entry in manifest["inputs"]:
         path = Path(entry["path"])
         if not path.exists():
@@ -298,7 +327,7 @@ def _cmd_rerun(args) -> int:
             raise ValueError(f"manifest input changed: {path}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    argv = list(manifest["argv"])
+    argv = manifest["argv"]
     replaced = []
     for expected in manifest["outputs"]:
         original = expected["path"]

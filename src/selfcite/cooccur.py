@@ -19,6 +19,9 @@ pass:
    pairs of the window, and :func:`selfcite.editdist.bounded_distances`
    codes them all in one batch.
 3. Each cell tallies its counts per distance code with one ``bincount``.
+
+numpy is imported inside the functions that use it, so importing this module
+(as the CLI does for every command) does not load it.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ import csv
 import io
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from selfcite.corpus import Corpus, require_graphemes
 from selfcite.editdist import Alphabet, bounded_distances
@@ -99,6 +100,8 @@ class CooccurrenceGrid:
 
 def _corpus_matrices(corpus: Corpus, alphabet: Alphabet):
     """Pad the corpus into (type-id matrix, edge mask, id sequences)."""
+    import numpy as np
+
     type_ids: dict[tuple[str, ...], int] = {}
     rows: list[list[int]] = []
     for line in corpus.lines:
@@ -120,6 +123,8 @@ def _corpus_matrices(corpus: Corpus, alphabet: Alphabet):
 
 def _cell_keys(matrix, edges, n_types: int, i: int, j: int, drop_edges: bool):
     """Canonical (lo*n_types + hi) pair keys for one window cell."""
+    import numpy as np
+
     height, width = matrix.shape
     if i >= height or abs(j) >= width:
         return np.empty(0, dtype=np.int64)
@@ -143,6 +148,8 @@ def _cell_keys(matrix, edges, n_types: int, i: int, j: int, drop_edges: bool):
 
 def _distinct(keys):
     """Sorted distinct keys and how often each occurs; sorts ``keys`` in place."""
+    import numpy as np
+
     keys.sort()
     first = np.empty(len(keys), dtype=bool)
     first[:1] = True
@@ -162,6 +169,8 @@ def compute_grids(
     Cell counts equal those of independent single-distance runs; computing
     them together only shares the pair enumeration and distance work.
     """
+    import numpy as np
+
     if not corpus.lines:
         raise ValueError("corpus has no lines")
     if not distances:

@@ -196,7 +196,9 @@ def parse_transliteration(text: str, options: ParserOptions = ParserOptions()) -
 
     Raises :class:`ParseError` for content lines without a well-formed
     locus tag, and ``ValueError("empty corpus")`` when nothing remains.
+    All occurrences of a word share one :class:`Token`.
     """
+    by_raw: dict[str, Token] = {}
     records: list[LineRecord] = []
     para_id = -1
     prev_page: str | None = None
@@ -230,7 +232,10 @@ def parse_transliteration(text: str, options: ParserOptions = ParserOptions()) -
 
         if locus.page != prev_page or pending_break or locus.unit != prev_unit:
             para_id += 1
-        records.append((locus, tuple(Token(t) for t in token_strings), para_id))
+        tokens = tuple(
+            by_raw.get(t) or by_raw.setdefault(t, Token(t)) for t in token_strings
+        )
+        records.append((locus, tokens, para_id))
         prev_page = locus.page
         prev_unit = locus.unit
         pending_break = ends_paragraph
@@ -245,8 +250,10 @@ def parse_plaintext(text: str, options: PlainOptions = PlainOptions()) -> Corpus
 
     Tokens are split on whitespace with punctuation stripped from their
     edges; lines left empty are dropped. Blank source lines separate
-    paragraphs. The whole text is treated as a single page "text".
+    paragraphs. The whole text is treated as a single page "text". All
+    occurrences of a word share one :class:`Token`.
     """
+    by_raw: dict[str, Token] = {}
     records: list[LineRecord] = []
     para_id = 0
     pending_break = False
@@ -262,7 +269,7 @@ def parse_plaintext(text: str, options: PlainOptions = PlainOptions()) -> Corpus
                 continue
             if options.fold_case:
                 word = word.casefold()
-            tokens.append(Token(word))
+            tokens.append(by_raw.get(word) or by_raw.setdefault(word, Token(word)))
         if not tokens:
             pending_break = True
             continue

@@ -24,9 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+# numpy is imported inside the batched routines only, so the commands that
+# never compute a grid do not pay for loading it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SegmentationError(ValueError):
@@ -310,6 +313,8 @@ def bounded_distances(
     together, and a chunk stops once every pair's row minimum exceeds the
     bound (Ukkonen's cut-off).
     """
+    import numpy as np
+
     inf = bound + 1
     out = np.full(len(a), inf, dtype=np.min_scalar_type(inf))
     if not len(a):
@@ -356,6 +361,8 @@ def bounded_distances(
 
 def _substitution_costs(alphabet: Alphabet, inf: int) -> np.ndarray:
     """Flat (G+1)x(G+1) substitution costs; the padding id G costs ``inf``."""
+    import numpy as np
+
     n = len(alphabet.graphemes)
     # The narrowest signed type that holds a capped cell plus one more edit.
     dtype = np.min_scalar_type(-(2 * inf + 2 * alphabet.indel_cost))
@@ -377,6 +384,8 @@ def _band_walk(a_rows, b_rows, final_diagonal, costs, half, indel, inf):
     paths only move right and down, so they never reach the cell read at the
     end, and they can only lower a row minimum, which keeps the cut-off sound.
     """
+    import numpy as np
+
     diagonals = 2 * half + 1
     n = a_rows.shape[1]
     band = np.full((diagonals, n), inf, dtype=costs.dtype)

@@ -50,15 +50,57 @@ SOURCE_BIAS_KERNELS = {
 }
 
 
-def _distribution(pairs) -> tuple[tuple[int, float], ...]:
-    items = tuple(sorted((int(k), float(v)) for k, v in pairs))
+# Type checks for values read from parameter files; each ValueError names the
+# parameter, so a wrongly typed file value is a data error, not a TypeError.
+
+def _number(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _strings(name: str, value) -> tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(item, str) for item in value
+    ):
+        raise ValueError(f"{name} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _pairs(name: str, value) -> tuple[tuple, ...]:
+    """``value`` as (key, weight) pairs with numeric weights."""
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in value
+    ):
+        raise ValueError(
+            f"{name} must be an object or a list of [value, weight] pairs, "
+            f"got {value!r}"
+        )
+    return tuple((k, float(_number(name, v))) for k, v in value)
+
+
+def _count_key(name: str, key) -> int:
+    try:
+        return int(key)  # JSON object keys arrive as strings
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} has a non-integer value {key!r}") from None
+
+
+def _distribution(name: str, value) -> tuple[tuple[int, float], ...]:
+    items = tuple(sorted((_count_key(name, k), v) for k, v in _pairs(name, value)))
     if not items:
-        raise ValueError("distribution must not be empty")
+        raise ValueError(f"{name} must not be empty")
     if any(v < 0 for _, v in items):
-        raise ValueError("distribution probabilities must be nonnegative")
+        raise ValueError(f"{name} probabilities must be nonnegative")
     total = sum(v for _, v in items)
     if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"distribution must sum to 1, got {total}")
+        raise ValueError(f"{name} must sum to 1, got {total}")
     return items
 
 
@@ -88,21 +130,27 @@ class GeneratorParams:
     target_token_count: int = 10_000
 
     def __post_init__(self):
-        object.__setattr__(self, "seed_words", tuple(self.seed_words))
-        object.__setattr__(
-            self, "mutation_count_distribution",
-            _distribution(self.mutation_count_distribution),
+        for name in (
+            "seed_words",
+            "prefix_graphemes",
+            "gallows_graphemes",
+            "line_final_glyphs",
+            "excluded_graphemes",
+        ):
+            object.__setattr__(self, name, _strings(name, getattr(self, name)))
+        for name in (
+            "mutation_count_distribution",
+            "line_length_distribution",
+            "paragraph_length_distribution",
+        ):
+            object.__setattr__(self, name, _distribution(name, getattr(self, name)))
+        kinds = tuple(
+            (str(k), v)
+            for k, v in _pairs("mutation_kind_weights", self.mutation_kind_weights)
         )
-        object.__setattr__(
-            self, "line_length_distribution",
-            _distribution(self.line_length_distribution),
-        )
-        object.__setattr__(
-            self, "paragraph_length_distribution",
-            _distribution(self.paragraph_length_distribution),
-        )
-        kinds = tuple((str(k), float(v)) for k, v in self.mutation_kind_weights)
         object.__setattr__(self, "mutation_kind_weights", kinds)
+        for name in ("source_window_lines", "rng_seed", "target_token_count"):
+            _integer(name, getattr(self, name))
         if not self.seed_words:
             raise ValueError("need at least one seed word")
         for name in (
@@ -112,7 +160,7 @@ class GeneratorParams:
             "second_word_strip_probability",
             "line_final_glyph_probability",
         ):
-            value = getattr(self, name)
+            value = _number(name, getattr(self, name))
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         for kind, weight in kinds:
@@ -130,15 +178,16 @@ class GeneratorParams:
             raise ValueError("paragraph lengths must be >= 1")
         if self.source_window_lines < 1:
             raise ValueError("source_window_lines must be >= 1")
-        if self.source_position_bias not in SOURCE_BIAS_KERNELS:
-            raise ValueError(
-                f"unknown source_position_bias {self.source_position_bias!r}"
-            )
+        bias = self.source_position_bias
+        if not isinstance(bias, str) or bias not in SOURCE_BIAS_KERNELS:
+            raise ValueError(f"unknown source_position_bias {bias!r}")
         if self.target_token_count < 1:
             raise ValueError("target_token_count must be >= 1")
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorParams":
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
         data = dict(data)
         data.pop("version", None)
         for key in (
@@ -156,11 +205,11 @@ class GeneratorParams:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "GeneratorParams":
+        text = read_text(path)
         try:
-            data = json.loads(read_text(path))
-        except json.JSONDecodeError as exc:
+            return cls.from_dict(json.loads(text))
+        except ValueError as exc:  # JSONDecodeError is one too
             raise ValueError(f"malformed generator parameters {path}: {exc}") from None
-        return cls.from_dict(data)
 
     @classmethod
     def defaults(cls) -> "GeneratorParams":

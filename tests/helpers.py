@@ -3,10 +3,11 @@
 These stay deliberately naive: the recursive distance explores every edit
 at every step, the grid recount walks every token pair with nested loops,
 and the network oracle compares every pair of types whose lengths differ by
-at most one. The normalization oracle segments every occurrence, and the
-generator oracles call the source kernel once per candidate and rebuild
-each distribution's weights per draw; the memoised library versions must
-match them RNG call for RNG call. Apart from the kernel table and
+at most one. The parse oracle builds one token per occurrence, the
+normalization oracle segments every occurrence, and the generator oracles
+call the source kernel once per candidate and rebuild each distribution's
+weights per draw; the memoised library versions must match them RNG call
+for RNG call. Apart from the kernel table, the corpus data classes and
 ``assemble_corpus``, none shares code with the library internals it
 checks. The hand-enumerated grid cases live here too, shared between the
 unit tests and the acceptance suite.
@@ -14,9 +15,18 @@ unit tests and the acceptance suite.
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
-from selfcite.corpus import Corpus, assemble_corpus
+from selfcite.corpus import (
+    TRANSLITERATION,
+    Corpus,
+    Locus,
+    ParseError,
+    ParserOptions,
+    Token,
+    assemble_corpus,
+)
 from selfcite.editdist import Alphabet, are_similar, edit_distance
 from selfcite.generator import SOURCE_BIAS_KERNELS
 
@@ -113,6 +123,46 @@ def bucket_edges(nodes: dict[str, tuple[str, ...]], alphabet: Alphabet):
                     if edit_distance(nodes[a], nodes[b], alphabet, bound=1) == 1:
                         edges.add((a, b) if a < b else (b, a))
     return edges
+
+
+_ORACLE_LOCUS = re.compile(r"<([^<>.;,\s]+)\.([^<>.;,\s]+)\.(\d+)(?:;[^<>]*)?>")
+
+
+def oracle_parse_transliteration(
+    text: str, options: ParserOptions = ParserOptions()
+) -> Corpus:
+    """Transliteration parsing with a fresh token for every occurrence."""
+    records = []
+    para_id = -1
+    prev = None  # (page, unit) of the previous kept line
+    pending_break = False
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+        stripped = raw_line.strip()
+        if not stripped:
+            pending_break = True
+            continue
+        if stripped.startswith("#"):
+            continue
+        match = _ORACLE_LOCUS.match(stripped)
+        if match is None:
+            raise ParseError(line_no, f"malformed locus tag in {stripped[:40]!r}")
+        page, unit, number = match.group(1), match.group(2), int(match.group(3))
+        locus = Locus(page, unit, number, match.group(0))
+        body = re.sub(r"\{[^}]*\}", "", stripped[match.end():])
+        ends_paragraph = body.rstrip().endswith("=")
+        body = body.replace("!", "").replace("%", "")
+        if options.units is not None and locus.unit_kind not in options.units:
+            pending_break = True
+            continue
+        if pending_break or prev != (page, unit):
+            para_id += 1
+        words = [w for w in re.split(r"[.,\s=-]+", body) if w]
+        records.append((locus, tuple(Token(w) for w in words), para_id))
+        prev = (page, unit)
+        pending_break = ends_paragraph
+    if not records:
+        raise ValueError("empty corpus")
+    return assemble_corpus(records, TRANSLITERATION)
 
 
 def oracle_normalize(corpus: Corpus, alphabet: Alphabet, min_graphemes: int) -> Corpus:

@@ -1,5 +1,8 @@
 import errno
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -102,6 +105,23 @@ def test_settings_file_errors_name_the_file(argv, tmp_path, capsys):
         err = capsys.readouterr().err
         assert str(path) in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content, named", [
+    ('{"copy_probability": "x"}', "copy_probability"),
+    ('{"line_length_distribution": [1, 2]}', "line_length_distribution"),
+    ("[1, 2]", "expected a JSON object"),
+], ids=["string_probability", "bare_numbers", "list"])
+def test_params_file_with_wrong_types_is_data_error(content, named, tmp_path,
+                                                    capsys):
+    params = tmp_path / "params.json"
+    params.write_text(content, encoding="utf-8")
+    assert main(["generate", "--tokens", "5", "--params", str(params)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: malformed generator parameters {params}: ")
+    assert named in captured.err
+    assert "Traceback" not in captured.err
 
 
 WORDS = ("daiin", "chol", "chedy", "ol", "qokeedy")
@@ -369,3 +389,56 @@ def test_rerun_detects_changed_input(toy_input, tmp_path, capsys):
     ])
     assert code == 1
     assert "changed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["{}", "[1]"], ids=["no_fields", "list"])
+def test_rerun_malformed_manifest_is_data_error(content, tmp_path, capsys):
+    manifest = tmp_path / "run.manifest.json"
+    manifest.write_text(content, encoding="utf-8")
+    code = main(["rerun", str(manifest), "--out-dir", str(tmp_path / "rerun")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed manifest {manifest}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "rerun").exists()
+
+
+# Runs in a fresh interpreter, so modules the test session imported do not
+# count: every command but grid and validate must leave numpy unloaded.
+NUMPY_FREE_SCRIPT = """
+import sys
+from selfcite import cli
+
+assert "numpy" not in sys.modules, "import selfcite.cli loaded numpy"
+toy, out = sys.argv[1:]
+runs = [
+    ["profile", "--profile", "vms", "--out", f"{out}/profile.json"],
+    ["generate", "--tokens", "300", "--seed", "2", "--out", f"{out}/gen.evt"],
+    ["rerun", f"{out}/gen.evt.manifest.json", "--out-dir", f"{out}/rerun"],
+    ["parse", "--input", toy, "--out", f"{out}/parsed.evt"],
+    ["network", "--input", toy, "--min-freq", "1", "--out", f"{out}/edges.csv"],
+    ["stats", "--input", toy, "--rank-frequency-out", f"{out}/ranks.csv",
+     "--out", f"{out}/stats.jsonl"],
+    ["shuffle", "--input", toy, "--seed", "1", "--out", f"{out}/shuffled.evt"],
+    ["path", "--input", toy, "--min-freq", "1", "--from", "ychedy",
+     "--to", "kchedy", "--out", f"{out}/path.txt"],
+]
+for argv in runs:
+    assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, f"{argv[0]} loaded numpy"
+assert cli.main(["grid", "--input", toy, "--rows", "3", "--cols", "2",
+                 "--out", f"{out}/grid.csv"]) == 0
+assert "numpy" in sys.modules, "grid did not load numpy"
+print("checked")
+"""
+
+
+def test_only_grid_commands_load_numpy(toy_input, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_SCRIPT, str(toy_input), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "checked"

@@ -16,7 +16,7 @@ from selfcite.editdist import Alphabet, SegmentationError
 from selfcite.posstats import positional_stats
 from selfcite.profiles import load_profile
 
-from helpers import oracle_normalize
+from helpers import oracle_normalize, oracle_parse_transliteration
 
 VMS = load_profile("vms").alphabet
 
@@ -112,6 +112,54 @@ def test_source_order_preserved():
     assert keys == [("f1r", 1), ("f1r", 2), ("f2v", 1), ("f2v", 2)]
 
 
+# short pool, so words repeat within and across lines
+PARSE_WORDS = ["daiin", "ol", "chol", "qokchy", "y"]
+
+
+@st.composite
+def transliteration_line(draw):
+    """A blank, comment or content line; content lines mix separators,
+    fillers, brace spans, transcriber suffixes, units and end markers."""
+    kind = draw(st.sampled_from(["content", "content", "content", "blank", "comment"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "  "]))
+    if kind == "comment":
+        return "# <f9v.P.1> daiin"
+    page = draw(st.sampled_from(["f1r", "f2v"]))
+    unit = draw(st.sampled_from(["P", "P1", "L"]))
+    suffix = draw(st.sampled_from(["", ";H"]))
+    tag = f"<{page}.{unit}.{draw(st.integers(1, 9))}{suffix}>"
+    body = ""
+    for word in draw(st.lists(st.sampled_from(PARSE_WORDS), max_size=6)):
+        body += draw(st.sampled_from([".", ",", "-", " ", ". "]))
+        body += word + draw(st.sampled_from(["", "", "!", "%"]))
+    if draw(st.booleans()):
+        body += " {plant}"
+    if draw(st.booleans()):
+        body += "="
+    return f"{tag} {body}"
+
+
+@given(
+    st.lists(transliteration_line(), min_size=1, max_size=12),
+    st.sampled_from([None, frozenset({"P"})]),
+)
+def test_parse_matches_per_token_oracle(lines, units):
+    text = "\n".join(lines)
+    options = ParserOptions(units=units)
+    try:
+        expected = oracle_parse_transliteration(text, options)
+    except ValueError:
+        with pytest.raises(ValueError, match="empty corpus"):
+            parse_transliteration(text, options)
+        return
+    corpus = parse_transliteration(text, options)
+    assert corpus == expected
+    shared = {}
+    for token in corpus.iter_tokens():
+        assert shared.setdefault(token.raw, token) is token
+
+
 # ---------------------------------------------------------------------------
 # plaintext
 # ---------------------------------------------------------------------------
@@ -134,6 +182,16 @@ def test_plaintext_punctuation_only_line_dropped():
     corpus = parse_plaintext("word here\n---\nand, more!")
     assert len(corpus.lines) == 2
     assert [t.raw for t in corpus.lines[1].tokens] == ["and", "more"]
+
+
+def test_plaintext_shares_one_token_per_word():
+    corpus = parse_plaintext("the sea and\nThe sea, the end")
+    assert [[t.raw for t in line.tokens] for line in corpus.lines] == [
+        ["the", "sea", "and"], ["the", "sea", "the", "end"],
+    ]
+    first, second = corpus.lines
+    assert first.tokens[0] is second.tokens[0] is second.tokens[2]
+    assert first.tokens[1] is second.tokens[1]
 
 
 def test_plaintext_empty_error():

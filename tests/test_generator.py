@@ -56,6 +56,32 @@ def test_params_reject_unknown_field():
         GeneratorParams.from_dict({"coppy_probability": 0.5})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed_words", "daiin"),
+    ("seed_words", [1]),
+    ("copy_probability", "0.5"),
+    ("copy_probability", True),
+    ("mutation_count_distribution", {"one": 1.0}),
+    ("mutation_count_distribution", [[0, 0.5, 1]]),
+    ("mutation_kind_weights", {"insert": None}),
+    ("line_length_distribution", [1, 2]),
+    ("paragraph_length_distribution", 4),
+    ("source_window_lines", 2.5),
+    ("source_position_bias", ["uniform"]),
+    ("gallows_graphemes", None),
+    ("rng_seed", "1"),
+    ("target_token_count", [10]),
+])
+def test_params_reject_wrong_types_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        GeneratorParams.from_dict({field: value})
+
+
+def test_params_from_dict_needs_an_object():
+    with pytest.raises(ValueError, match="expected a JSON object, got list"):
+        GeneratorParams.from_dict([["rng_seed", 1]])
+
+
 def test_params_file_with_bad_json_is_named(tmp_path):
     path = tmp_path / "params.json"
     path.write_text('{"rng_seed": ', encoding="utf-8")
