@@ -34,7 +34,8 @@ from typing import Iterator, Sequence
 from selfcite.corpus import Corpus, require_graphemes
 from selfcite.editdist import Alphabet, bounded_distances
 # Re-exported: bench/spans.py wraps this name here, and its traced run fails
-# without it.
+# without it. cooccur never calls it, so the traced
+# ``editdist.bounded_distance_ids.calls`` reads 0.
 from selfcite.editdist import bounded_distance_ids  # noqa: F401
 
 

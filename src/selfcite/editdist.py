@@ -13,10 +13,11 @@ where a dissimilar substitution is dearer than a delete-plus-insert are
 rejected, which keeps the per-symbol costs a metric and the sequence
 distance well behaved.
 
-Two routines share the cost model. :func:`bounded_distance_ids` is the scalar
-banded DP behind :func:`edit_distance`; :func:`bounded_distances` runs the same
-bounded distance for a whole batch of word pairs in numpy, and is what the
-co-occurrence grids use. The scalar routine is the batched one's test oracle.
+One kernel computes the distance: :func:`bounded_distances`, a banded DP in
+numpy over a whole batch of word pairs. The co-occurrence grids pass it every
+distinct window pair at once; :func:`edit_distance` passes it a batch of one.
+Its reference is the scalar banded DP ``oracle_bounded_distance`` in
+``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-# numpy is imported inside the batched routines only, so the commands that
-# never compute a grid do not pay for loading it.
+# numpy is imported inside the distance routines only, so the commands that
+# never compute a distance do not pay for loading it.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -206,81 +207,16 @@ def are_similar(a: str, b: str, alphabet: Alphabet) -> bool:
 
 
 def bounded_distance_ids(
-    a: tuple[int, ...],
-    b: tuple[int, ...],
-    bound: int,
-    similar_pairs: frozenset[tuple[int, int]],
-    indel: int,
-    sub_similar: int,
-    sub_dissimilar: int,
+    a: tuple[int, ...], b: tuple[int, ...], bound: int, alphabet: Alphabet
 ) -> int | None:
-    """Exact weighted distance between id sequences if <= bound, else None.
+    """Distance between two id sequences if it is at most ``bound``, else None.
 
-    Core routine shared with the co-occurrence engine; callers are expected
-    to have validated the ids. Strips common affixes first (safe because the
-    per-symbol costs form a metric) and runs a banded dynamic program on the
-    remainder.
+    A batch of one through :func:`bounded_distances`.
     """
-    if a == b:
-        return 0
-    la = len(a)
-    lb = len(b)
-    if abs(la - lb) * indel > bound:
-        return None
-    s = 0
-    while s < la and s < lb and a[s] == b[s]:
-        s += 1
-    e = 0
-    while e < la - s and e < lb - s and a[la - 1 - e] == b[lb - 1 - e]:
-        e += 1
-    a = a[s : la - e]
-    b = b[s : lb - e]
-    la -= s + e
-    lb -= s + e
-    if la == 0 or lb == 0:
-        value = max(la, lb) * indel
-        return value if value <= bound else None
-    if la == 1 and lb == 1:
-        x = a[0]
-        y = b[0]
-        pair = (x, y) if x < y else (y, x)
-        sub = sub_similar if pair in similar_pairs else sub_dissimilar
-        value = min(sub, 2 * indel)
-        return value if value <= bound else None
-    # Banded DP: cells with |i - j| beyond the band cost more than the bound.
-    half = bound // indel
-    inf = bound + 1
-    prev = [j * indel if j <= half else inf for j in range(lb + 1)]
-    for i in range(1, la + 1):
-        lo = i - half if i - half > 1 else 1
-        hi = i + half if i + half < lb else lb
-        cur = [inf] * (lb + 1)
-        if lo == 1:
-            cur[0] = i * indel if i <= half else inf
-        ai = a[i - 1]
-        best_row = inf
-        for j in range(lo, hi + 1):
-            bj = b[j - 1]
-            if ai == bj:
-                cost = prev[j - 1]
-            else:
-                pair = (ai, bj) if ai < bj else (bj, ai)
-                sub = sub_similar if pair in similar_pairs else sub_dissimilar
-                cost = prev[j - 1] + sub
-            up = prev[j] + indel
-            if up < cost:
-                cost = up
-            left = cur[j - 1] + indel
-            if left < cost:
-                cost = left
-            if cost < inf:
-                cur[j] = cost
-                if cost < best_row:
-                    best_row = cost
-        if best_row > bound:
-            return None
-        prev = cur
-    value = prev[lb]
+    import numpy as np
+
+    first, second = np.arange(2).reshape(2, 1)
+    value = int(bounded_distances((a, b), first, second, bound, alphabet)[0])
     return value if value <= bound else None
 
 
@@ -296,7 +232,7 @@ def bounded_distances(
     bound: int,
     alphabet: Alphabet,
 ) -> np.ndarray:
-    """:func:`bounded_distance_ids` for many pairs at once.
+    """Weighted distances of many word pairs, exact up to ``bound``.
 
     Pair ``p`` is ``(words[a[p]], words[b[p]])``, where ``words`` holds id
     sequences as returned by :meth:`Alphabet.encode`. The result holds each
@@ -311,7 +247,8 @@ def bounded_distances(
     over the ``2 * (bound // indel) + 1`` diagonals around the main one,
     grouped by the length of the first word so that each chunk walks its rows
     together, and a chunk stops once every pair's row minimum exceeds the
-    bound (Ukkonen's cut-off).
+    bound (Ukkonen's cut-off). The scalar ``oracle_bounded_distance`` in
+    ``tests/helpers.py`` is its test reference.
     """
     import numpy as np
 
@@ -424,14 +361,6 @@ def edit_distance(
     exhaustive = bound is None
     if exhaustive:
         bound = (len(ea) + len(eb)) * alphabet.indel_cost
-    result = bounded_distance_ids(
-        ea,
-        eb,
-        bound,
-        alphabet.similar_id_pairs,
-        alphabet.indel_cost,
-        alphabet.similar_substitution_cost,
-        alphabet.dissimilar_substitution_cost,
-    )
+    result = bounded_distance_ids(ea, eb, bound, alphabet)
     assert not (exhaustive and result is None)
     return result

@@ -86,10 +86,14 @@ def _pairs(name: str, value) -> tuple[tuple, ...]:
 
 
 def _count_key(name: str, key) -> int:
-    try:
-        return int(key)  # JSON object keys arrive as strings
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} has a non-integer value {key!r}") from None
+    if isinstance(key, str):  # JSON object keys arrive as strings
+        try:
+            return int(key)
+        except ValueError:
+            pass
+    elif isinstance(key, int) and not isinstance(key, bool):
+        return key
+    raise ValueError(f"{name} has a non-integer value {key!r}")
 
 
 def _distribution(name: str, value) -> tuple[tuple[int, float], ...]:

@@ -74,9 +74,6 @@ class SimilarityGraph:
             for b in nbrs
         }
 
-    def degree(self, node: str) -> int:
-        return len(self.adjacency[node])
-
 
 def _one_edit_variants(seq: tuple[str, ...], alphabet: Alphabet):
     """Every sequence reachable by one cost-1 edit: indel or similar swap."""

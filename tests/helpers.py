@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the fast paths.
 
 These stay deliberately naive: the recursive distance explores every edit
-at every step, the grid recount walks every token pair with nested loops,
+at every step, the scalar banded distance walks one pair's rows in plain
+Python, the grid recount walks every token pair with nested loops,
 and the network oracle compares every pair of types whose lengths differ by
 at most one. The parse oracle builds one token per occurrence, the
 normalization oracle segments every occurrence, and the generator oracles
@@ -10,7 +11,8 @@ weights per draw; the memoised library versions must match them RNG call
 for RNG call. Apart from the kernel table, the corpus data classes and
 ``assemble_corpus``, none shares code with the library internals it
 checks. The hand-enumerated grid cases live here too, shared between the
-unit tests and the acceptance suite.
+unit tests and the acceptance suite, and so does ``batch_distances``, which
+runs a test's many pairs through the library's batched distance in one call.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from selfcite.corpus import (
     Token,
     assemble_corpus,
 )
-from selfcite.editdist import Alphabet, are_similar, edit_distance
+from selfcite.editdist import Alphabet, are_similar, bounded_distances
 from selfcite.generator import SOURCE_BIAS_KERNELS
 
 
@@ -60,6 +62,107 @@ def naive_distance(a, b, alphabet: Alphabet) -> int:
         return best
 
     return rec(tuple(a), tuple(b))
+
+
+def oracle_bounded_distance(
+    a: tuple[int, ...], b: tuple[int, ...], bound: int, alphabet: Alphabet
+) -> int | None:
+    """Exact weighted distance between id sequences if <= bound, else None.
+
+    The scalar form of the library's banded DP, one pair at a time. Strips
+    common affixes first (safe because the per-symbol costs form a metric)
+    and runs a banded dynamic program on the remainder.
+    """
+    similar_pairs = alphabet.similar_id_pairs
+    indel = alphabet.indel_cost
+    sub_similar = alphabet.similar_substitution_cost
+    sub_dissimilar = alphabet.dissimilar_substitution_cost
+    if a == b:
+        return 0
+    la = len(a)
+    lb = len(b)
+    if abs(la - lb) * indel > bound:
+        return None
+    s = 0
+    while s < la and s < lb and a[s] == b[s]:
+        s += 1
+    e = 0
+    while e < la - s and e < lb - s and a[la - 1 - e] == b[lb - 1 - e]:
+        e += 1
+    a = a[s : la - e]
+    b = b[s : lb - e]
+    la -= s + e
+    lb -= s + e
+    if la == 0 or lb == 0:
+        value = max(la, lb) * indel
+        return value if value <= bound else None
+    if la == 1 and lb == 1:
+        x = a[0]
+        y = b[0]
+        pair = (x, y) if x < y else (y, x)
+        sub = sub_similar if pair in similar_pairs else sub_dissimilar
+        value = min(sub, 2 * indel)
+        return value if value <= bound else None
+    # Banded DP: cells with |i - j| beyond the band cost more than the bound.
+    half = bound // indel
+    inf = bound + 1
+    prev = [j * indel if j <= half else inf for j in range(lb + 1)]
+    for i in range(1, la + 1):
+        lo = i - half if i - half > 1 else 1
+        hi = i + half if i + half < lb else lb
+        cur = [inf] * (lb + 1)
+        if lo == 1:
+            cur[0] = i * indel if i <= half else inf
+        ai = a[i - 1]
+        best_row = inf
+        for j in range(lo, hi + 1):
+            bj = b[j - 1]
+            if ai == bj:
+                cost = prev[j - 1]
+            else:
+                pair = (ai, bj) if ai < bj else (bj, ai)
+                sub = sub_similar if pair in similar_pairs else sub_dissimilar
+                cost = prev[j - 1] + sub
+            up = prev[j] + indel
+            if up < cost:
+                cost = up
+            left = cur[j - 1] + indel
+            if left < cost:
+                cost = left
+            if cost < inf:
+                cur[j] = cost
+                if cost < best_row:
+                    best_row = cost
+        if best_row > bound:
+            return None
+        prev = cur
+    value = prev[lb]
+    return value if value <= bound else None
+
+
+def batch_distances(pairs, alphabet: Alphabet, bound: int | None = None):
+    """``edit_distance`` of each grapheme-sequence pair, in one batched call.
+
+    Each distinct sequence is encoded once. Without ``bound`` every value is
+    exact (the bound is the largest ``(len(a) + len(b)) * indel`` of the
+    batch); with it, a distance above ``bound`` comes back as None.
+    """
+    import numpy as np
+
+    ids: dict[tuple, int] = {}
+    a = [ids.setdefault(tuple(x), len(ids)) for x, _ in pairs]
+    b = [ids.setdefault(tuple(y), len(ids)) for _, y in pairs]
+    if bound is None:
+        longest = max((len(x) + len(y) for x, y in pairs), default=0)
+        bound = longest * alphabet.indel_cost
+    codes = bounded_distances(
+        [alphabet.encode(seq) for seq in ids],
+        np.array(a, dtype=np.intp),
+        np.array(b, dtype=np.intp),
+        bound,
+        alphabet,
+    )
+    return [d if d <= bound else None for d in codes.tolist()]
 
 
 def brute_force_grid_counts(
@@ -112,17 +215,22 @@ def bucket_edges(nodes: dict[str, tuple[str, ...]], alphabet: Alphabet):
     by_length: dict[int, list[str]] = {}
     for word, seq in nodes.items():
         by_length.setdefault(len(seq), []).append(word)
-    edges = set()
+    candidates = []
     for length, words in by_length.items():
         words = sorted(words)
         for bucket in (words, by_length.get(length + 1, ())):
             same = bucket is words
             for x, a in enumerate(words):
                 others = bucket[x + 1 :] if same else bucket
-                for b in others:
-                    if edit_distance(nodes[a], nodes[b], alphabet, bound=1) == 1:
-                        edges.add((a, b) if a < b else (b, a))
-    return edges
+                candidates.extend((a, b) for b in others)
+    distances = batch_distances(
+        [(nodes[a], nodes[b]) for a, b in candidates], alphabet, bound=1
+    )
+    return {
+        (a, b) if a < b else (b, a)
+        for (a, b), d in zip(candidates, distances)
+        if d == 1
+    }
 
 
 _ORACLE_LOCUS = re.compile(r"<([^<>.;,\s]+)\.([^<>.;,\s]+)\.(\d+)(?:;[^<>]*)?>")

@@ -111,7 +111,8 @@ def test_settings_file_errors_name_the_file(argv, tmp_path, capsys):
     ('{"copy_probability": "x"}', "copy_probability"),
     ('{"line_length_distribution": [1, 2]}', "line_length_distribution"),
     ("[1, 2]", "expected a JSON object"),
-], ids=["string_probability", "bare_numbers", "list"])
+    ('{"line_length_distribution": [[7.5, 1.0]]}', "line_length_distribution"),
+], ids=["string_probability", "bare_numbers", "list", "fractional_length"])
 def test_params_file_with_wrong_types_is_data_error(content, named, tmp_path,
                                                     capsys):
     params = tmp_path / "params.json"

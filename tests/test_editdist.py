@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from selfcite import editdist
 from selfcite.editdist import (
     Alphabet,
     SegmentationError,
     are_similar,
-    bounded_distance_ids,
     bounded_distances,
     edit_distance,
 )
 
-from helpers import naive_distance
+from helpers import batch_distances, naive_distance, oracle_bounded_distance
 
 
 VMS_LIKE = Alphabet(
@@ -140,9 +140,9 @@ def test_plain_profile_single_letter_change():
 
 def test_exhaustive_oracle_equivalence_tiny_alphabet():
     strings = tiny_strings(4)
-    for i, a in enumerate(strings):
-        for b in strings[i:]:
-            assert edit_distance(a, b, TINY) == naive_distance(a, b, TINY), (a, b)
+    pairs = [(a, b) for i, a in enumerate(strings) for b in strings[i:]]
+    for (a, b), d in zip(pairs, batch_distances(pairs, TINY)):
+        assert d == naive_distance(a, b, TINY), (a, b)
 
 
 def _random_seq(rng, alphabet, max_len=6):
@@ -152,56 +152,58 @@ def _random_seq(rng, alphabet, max_len=6):
 
 def test_symmetry_random_pairs():
     rng = random.Random(1905)
-    for _ in range(10_000):
-        a = _random_seq(rng, VMS_LIKE)
-        b = _random_seq(rng, VMS_LIKE)
-        assert edit_distance(a, b, VMS_LIKE) == edit_distance(b, a, VMS_LIKE)
+    pairs = [(_random_seq(rng, VMS_LIKE), _random_seq(rng, VMS_LIKE))
+             for _ in range(10_000)]
+    backward = [(b, a) for a, b in pairs]
+    assert batch_distances(pairs, VMS_LIKE) == batch_distances(backward, VMS_LIKE)
 
 
 def test_identity_and_positivity_random():
     rng = random.Random(7)
-    for _ in range(2_000):
-        a = _random_seq(rng, VMS_LIKE)
-        b = _random_seq(rng, VMS_LIKE)
-        assert edit_distance(a, a, VMS_LIKE) == 0
+    pairs = [(_random_seq(rng, VMS_LIKE), _random_seq(rng, VMS_LIKE))
+             for _ in range(2_000)]
+    assert set(batch_distances([(a, a) for a, _ in pairs], VMS_LIKE)) == {0}
+    for (a, b), d in zip(pairs, batch_distances(pairs, VMS_LIKE)):
         if a != b:
-            assert edit_distance(a, b, VMS_LIKE) >= 1
+            assert d >= 1
 
 
 def test_triangle_inequality_random_triples():
     rng = random.Random(99)
-    for _ in range(2_000):
-        a = _random_seq(rng, VMS_LIKE, 5)
-        b = _random_seq(rng, VMS_LIKE, 5)
-        c = _random_seq(rng, VMS_LIKE, 5)
-        dab = edit_distance(a, b, VMS_LIKE)
-        dbc = edit_distance(b, c, VMS_LIKE)
-        dac = edit_distance(a, c, VMS_LIKE)
+    triples = [tuple(_random_seq(rng, VMS_LIKE, 5) for _ in range(3))
+               for _ in range(2_000)]
+    distances = batch_distances(
+        [pair for a, b, c in triples for pair in ((a, b), (b, c), (a, c))],
+        VMS_LIKE,
+    )
+    for dab, dbc, dac in zip(*[iter(distances)] * 3):
         assert dac <= dab + dbc
 
 
 def test_length_bounds_random():
     rng = random.Random(1234)
-    for _ in range(2_000):
-        a = _random_seq(rng, VMS_LIKE)
-        b = _random_seq(rng, VMS_LIKE)
-        d = edit_distance(a, b, VMS_LIKE)
+    pairs = [(_random_seq(rng, VMS_LIKE), _random_seq(rng, VMS_LIKE))
+             for _ in range(2_000)]
+    for (a, b), d in zip(pairs, batch_distances(pairs, VMS_LIKE)):
         assert abs(len(a) - len(b)) * VMS_LIKE.indel_cost <= d
         assert d <= (len(a) + len(b)) * VMS_LIKE.indel_cost
 
 
 def test_band_soundness():
     rng = random.Random(4242)
-    for _ in range(3_000):
-        a = _random_seq(rng, VMS_LIKE, 7)
-        b = _random_seq(rng, VMS_LIKE, 7)
-        true = edit_distance(a, b, VMS_LIKE)
-        bound = rng.randrange(7)
-        banded = edit_distance(a, b, VMS_LIKE, bound=bound)
-        if true <= bound:
-            assert banded == true
-        else:
-            assert banded is None
+    cases = [(_random_seq(rng, VMS_LIKE, 7), _random_seq(rng, VMS_LIKE, 7),
+              rng.randrange(7)) for _ in range(3_000)]
+    exact = batch_distances([(a, b) for a, b, _ in cases], VMS_LIKE)
+    for bound in range(7):
+        picked = [i for i, case in enumerate(cases) if case[2] == bound]
+        banded = batch_distances([cases[i][:2] for i in picked], VMS_LIKE,
+                                 bound=bound)
+        for i, value in zip(picked, banded):
+            true = exact[i]
+            if true <= bound:
+                assert value == true
+            else:
+                assert value is None
 
 
 @st.composite
@@ -228,7 +230,7 @@ def test_oracle_equivalence_across_cost_profiles(case):
 
 
 # ---------------------------------------------------------------------------
-# batched DP against the scalar routine
+# batched DP against the scalar oracle
 # ---------------------------------------------------------------------------
 
 # indel 2 with a dissimilar substitution of 3: the band is bound // 2 wide and
@@ -276,16 +278,31 @@ def test_batched_distances_match_scalar(profile, bound):
     a, b = zip(*(same + derived + random_pairs))
     got = bounded_distances(words, np.array(a), np.array(b), bound, alphabet)
     expected = [
-        bounded_distance_ids(
-            words[i], words[j], bound, alphabet.similar_id_pairs,
-            alphabet.indel_cost, alphabet.similar_substitution_cost,
-            alphabet.dissimilar_substitution_cost,
-        )
+        oracle_bounded_distance(words[i], words[j], bound, alphabet)
         for i, j in zip(a, b)
     ]
     assert got.tolist() == [bound + 1 if d is None else d for d in expected]
     # the derived pairs reach the band's edge: some land within the bound
     assert any(d is not None and d > 0 for d in expected[len(same):]) or bound == 0
+
+
+def test_pruned_pairs_skip_the_walk(monkeypatch):
+    # the length and bitmask bounds settle a pair before the DP, and the
+    # cut-off stops a walk whose row minimum exceeds the bound; neither
+    # changes a value, so the oracle alone cannot see them
+    walks = []
+    walk = editdist._band_walk
+
+    def spy(a_rows, *args):
+        result = walk(a_rows, *args)
+        walks.append((a_rows.shape[1], np.ndim(result)))
+        return result
+
+    monkeypatch.setattr(editdist, "_band_walk", spy)
+    pairs = [("abcd", "efgh"), ("abcd", "abcdabcd"), ("aaaa", "aabb")]
+    assert batch_distances(pairs, PLAIN, bound=1) == [None, None, None]
+    # one walk of the last pair only, and it returned the cut-off's scalar
+    assert walks == [(1, 0)]
 
 
 def test_batched_distances_edge_cases():
@@ -298,3 +315,37 @@ def test_batched_distances_edge_cases():
     assert got.tolist() == [
         naive_distance(strings[i], strings[j], TINY) for i, j in zip(a, b)
     ]
+
+
+def _edited(rng, word, graphemes, edits, max_len):
+    """``word`` after ``edits`` random insertions, deletions and
+    substitutions, never longer than ``max_len``."""
+    word = list(word)
+    for _ in range(edits):
+        kinds = ["insert"] * (len(word) < max_len) + ["delete", "sub"] * bool(word)
+        kind = rng.choice(kinds)
+        if kind == "insert":
+            word.insert(rng.randrange(len(word) + 1), rng.choice(graphemes))
+        elif kind == "delete":
+            del word[rng.randrange(len(word))]
+        else:
+            word[rng.randrange(len(word))] = rng.choice(graphemes)
+    return tuple(word)
+
+
+def test_edit_distance_matches_oracle_on_long_words():
+    # the exhaustive bound is wider than the longest word, so the band is
+    # clamped to the words; the small bounds cut off inside them
+    rng = random.Random(40)
+    exact = []
+    for _ in range(60):
+        a = tuple(rng.choice(VMS_LIKE.graphemes) for _ in range(rng.randrange(41)))
+        b = _edited(rng, a, VMS_LIKE.graphemes, rng.randrange(13), 40)
+        ea, eb = VMS_LIKE.encode(a), VMS_LIKE.encode(b)
+        widest = (len(a) + len(b)) * VMS_LIKE.indel_cost
+        exact.append(edit_distance(a, b, VMS_LIKE))
+        assert exact[-1] == oracle_bounded_distance(ea, eb, widest, VMS_LIKE)
+        for bound in (0, 1, 3, 7):
+            assert edit_distance(a, b, VMS_LIKE, bound=bound) == \
+                oracle_bounded_distance(ea, eb, bound, VMS_LIKE), (a, b, bound)
+    assert any(0 < d <= 7 for d in exact) and any(d > 7 for d in exact)

@@ -71,6 +71,8 @@ def test_params_reject_unknown_field():
     ("gallows_graphemes", None),
     ("rng_seed", "1"),
     ("target_token_count", [10]),
+    ("line_length_distribution", [[7.5, 1.0]]),
+    ("line_length_distribution", [[True, 1.0]]),
 ])
 def test_params_reject_wrong_types_naming_the_field(field, value):
     with pytest.raises(ValueError, match=field):
