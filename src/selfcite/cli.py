@@ -102,31 +102,45 @@ def _write_output(
     args,
     data: bytes,
     extra_params: dict | None = None,
-    extra_outputs: list[Path] | None = None,
+    extra_outputs: list[str] | None = None,
 ) -> None:
     out = Path(args.out)
     _write_bytes(out, data)
-    params = {k: v for k, v in vars(args).items() if k not in ("func", "argv")}
+    inputs = _input_paths(args)
+    outputs = [args.out] + list(extra_outputs or [])
+    # Paths as given on the command line, mapped to how the manifest
+    # records them: relative to the manifest's own directory.
+    recorded = {path: _relative_to(path, out.parent) for path in inputs + outputs}
+    params = {
+        k: recorded.get(v, v) if isinstance(v, str) else v
+        for k, v in vars(args).items()
+        if k not in ("func", "argv")
+    }
     if extra_params:
         params.update(extra_params)
-    outputs = [out] + list(extra_outputs or [])
     manifest = {
         "tool": "selfcite",
         "version": selfcite.__version__,
         "subcommand": args.subcommand,
-        "argv": args.argv,
+        "argv": [recorded.get(token, token) for token in args.argv],
         "params": params,
         "inputs": [
-            {"path": p, "sha256": _sha256(Path(p))}
-            for p in _input_paths(args)
+            {"path": recorded[p], "sha256": _sha256(Path(p))} for p in inputs
         ],
-        "outputs": [{"path": str(o), "sha256": _sha256(o)} for o in outputs],
+        "outputs": [
+            {"path": recorded[o], "sha256": _sha256(Path(o))} for o in outputs
+        ],
     }
     manifest_path = out.with_name(out.name + ".manifest.json")
     _write_bytes(
         manifest_path,
         (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"),
     )
+
+
+def _relative_to(path: str, directory: Path) -> str:
+    """``path`` relative to ``directory``; an absolute path stays as it is."""
+    return path if os.path.isabs(path) else os.path.relpath(path, directory)
 
 
 def _input_paths(args) -> list[str]:
@@ -184,13 +198,12 @@ def _cmd_stats(args) -> int:
     extra_outputs = []
     if args.rank_frequency_out:
         ranks = rank_frequency(corpus)
-        rank_path = Path(args.rank_frequency_out)
         _write_bytes(
-            rank_path,
+            Path(args.rank_frequency_out),
             ("rank,type,count\n" + "".join(f"{r},{w},{c}\n" for r, w, c in ranks))
             .encode("utf-8"),
         )
-        extra_outputs.append(rank_path)
+        extra_outputs.append(args.rank_frequency_out)
     _emit(args, data, extra_outputs=extra_outputs)
     return 0
 
@@ -318,16 +331,21 @@ def _load_manifest(path: str) -> dict:
 
 
 def _cmd_rerun(args) -> int:
+    """Re-execute a manifest. Its relative paths (inputs, outputs and the
+    argv tokens naming them) are relative to the manifest's directory;
+    inputs are read from there and outputs go to ``--out-dir``."""
     manifest = _load_manifest(args.manifest)
+    base = Path(args.manifest).parent
+    argv = manifest["argv"]
     for entry in manifest["inputs"]:
-        path = Path(entry["path"])
+        path = base / entry["path"]
         if not path.exists():
             raise ValueError(f"manifest input missing: {path}")
         if _sha256(path) != entry["sha256"]:
             raise ValueError(f"manifest input changed: {path}")
+        argv = [str(path) if token == entry["path"] else token for token in argv]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    argv = manifest["argv"]
     replaced = []
     for expected in manifest["outputs"]:
         original = expected["path"]

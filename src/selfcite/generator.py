@@ -18,11 +18,13 @@ word repetition not being avoided.
 from __future__ import annotations
 
 import json
+import math
 import random
+from bisect import bisect
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count, repeat
 from pathlib import Path
 
 from selfcite.corpus import (
@@ -224,38 +226,53 @@ class GeneratorParams:
         return replace(self, **changes)
 
 
-def _cumulative(distribution) -> tuple[tuple, tuple[float, ...]]:
-    """Values and running weight totals of a distribution, for
-    ``rng.choices(values, cum_weights=...)``; the totals are the ones
-    ``choices`` itself would accumulate from the plain weights."""
-    return (
-        tuple(k for k, _ in distribution),
-        tuple(accumulate(v for _, v in distribution)),
-    )
+def _table(values, weights) -> tuple:
+    """``values`` with the running weight totals and the float total that
+    ``random.choices`` builds from plain weights: ``list(accumulate(...))``
+    and ``cum[-1] + 0.0``, rejected unless positive and finite."""
+    cum = list(accumulate(weights))
+    total = cum[-1] + 0.0
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"weights must total a positive finite number, got {total}")
+    return values, cum, total
 
 
-def _draw(rng: random.Random, cumulative) -> int:
-    values, cum_weights = cumulative
-    return rng.choices(values, cum_weights=cum_weights)[0]
+def _cumulative(distribution) -> tuple:
+    """The ``_table`` of a (value, weight) distribution."""
+    return _table(tuple(k for k, _ in distribution), (v for _, v in distribution))
 
 
-def _mutate(seq, rng, alphabet, params, insertable):
+def _draw(rng: random.Random, table):
+    """One weighted draw from a ``_table``: the single ``random()`` call and
+    ``bisect`` of ``random.choices(values, weights)[0]``, for a table built
+    once instead of per draw. The ``rng.choices`` oracle tests in ``tests/``
+    catch any change to these CPython internals."""
+    values, cum, total = table
+    return values[bisect(cum, rng.random() * total, 0, len(cum) - 1)]
+
+
+def _kind_tables(params: GeneratorParams) -> dict[tuple[bool, bool], tuple]:
+    """The mutation-kind ``_table`` for each (can delete, can substitute)
+    case: the kinds of positive weight, in parameter order, that the word
+    allows, or a lone insert when none is left."""
+    tables = {}
+    for can_delete in (False, True):
+        for can_substitute in (False, True):
+            kinds = [
+                (kind, weight)
+                for kind, weight in params.mutation_kind_weights
+                if weight > 0
+                and (kind != "delete" or can_delete)
+                and (kind != "substitute_similar" or can_substitute)
+            ] or [("insert", 1.0)]
+            tables[can_delete, can_substitute] = _cumulative(kinds)
+    return tables
+
+
+def _mutate(seq, rng, partners, kind_tables, insertable):
     """Apply one cost-1 edit, never producing an empty token."""
-    partners = alphabet.similar_partners
-    kinds = []
-    weights = []
-    for kind, weight in params.mutation_kind_weights:
-        if weight <= 0:
-            continue
-        if kind == "delete" and len(seq) <= 1:
-            continue
-        if kind == "substitute_similar" and not any(partners[g] for g in seq):
-            continue
-        kinds.append(kind)
-        weights.append(weight)
-    if not kinds:
-        kinds, weights = ["insert"], [1.0]
-    kind = rng.choices(kinds, weights)[0]
+    can_substitute = any(partners[g] for g in seq)
+    kind = _draw(rng, kind_tables[len(seq) > 1, can_substitute])
     if kind == "insert":
         pos = rng.randrange(len(seq) + 1)
         return seq[:pos] + (rng.choice(insertable),) + seq[pos:]
@@ -298,17 +315,23 @@ def _line_weights(bias: str, i: int, length: int, m: int) -> tuple[float, ...]:
 
 
 def _pick_source(history, current_line, m, rng, params):
-    """Weighted draw of a source word from the recent writing window."""
+    """Weighted draw of a source word from the recent writing window.
+
+    Reproduces ``rng.choices(candidates, weights)[0]``: one C-level
+    ``accumulate`` over the cached per-line weights, then ``_draw``."""
     depth = params.source_window_lines - 1
     window = [current_line] + (history[-depth:][::-1] if depth else [])
     candidates = list(chain.from_iterable(window))
     if not candidates:
         return None
-    bias = params.source_position_bias
-    weights = list(chain.from_iterable(
-        _line_weights(bias, i, len(line), m) for i, line in enumerate(window)
+    weights = chain.from_iterable(map(
+        _line_weights,
+        repeat(params.source_position_bias),
+        count(),
+        map(len, window),
+        repeat(m),
     ))
-    return rng.choices(candidates, weights)[0]
+    return _draw(rng, _table(candidates, weights))
 
 
 def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
@@ -329,6 +352,8 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
     paragraph_lengths = _cumulative(params.paragraph_length_distribution)
     line_lengths = _cumulative(params.line_length_distribution)
     mutation_counts = _cumulative(params.mutation_count_distribution)
+    kind_tables = _kind_tables(params)
+    partners = alphabet.similar_partners
     segmented: dict[str, tuple[str, ...]] = {}
     made: dict[tuple[str, ...], Token] = {}
     rng = random.Random(params.rng_seed)
@@ -374,7 +399,7 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
                     else:
                         k = _draw(rng, mutation_counts)
                         for _ in range(k):
-                            word = _mutate(word, rng, alphabet, params, insertable)
+                            word = _mutate(word, rng, partners, kind_tables, insertable)
                         word = _canonical(word, alphabet, segmented)
                 if m == 0:
                     first_base = word

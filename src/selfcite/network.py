@@ -1,10 +1,18 @@
 """Word-type similarity networks: distance-1 edges over frequent types.
 
 Nodes are the word types that occur at least ``min_freq`` times; an edge
-joins two types at exactly edit distance one. Edges are found by neighbor
-generation: every one-edit variant of each node (a deleted or inserted
-grapheme, or a similar-grapheme swap) is looked up in an index of the
-nodes, so the full quadratic pair set is never evaluated.
+joins two types at exactly edit distance one under the profile's costs.
+Since every cost is a positive integer, a distance-1 pair is one edit of
+cost 1 apart: an indel when ``indel_cost`` is 1, a swap of similar
+graphemes when ``similar_substitution_cost`` is 1, and a swap to any
+grapheme when ``dissimilar_substitution_cost`` is 1.
+
+Edges are found by neighbor generation: the variants of each node are
+looked up in an index of the nodes, so the full quadratic pair set is never
+evaluated. Only deletions and swaps are generated. An insertion into ``a``
+that gives the node ``b`` is the deletion from ``b`` that gives ``a``, so
+``b``'s deletions find that edge, from far fewer variants than inserting
+every grapheme at every position would make.
 """
 
 from __future__ import annotations
@@ -76,15 +84,19 @@ class SimilarityGraph:
 
 
 def _one_edit_variants(seq: tuple[str, ...], alphabet: Alphabet):
-    """Every sequence reachable by one cost-1 edit: indel or similar swap."""
-    for i in range(len(seq)):
-        yield seq[:i] + seq[i + 1 :]
-    for i in range(len(seq) + 1):
-        for g in alphabet.graphemes:
-            yield seq[:i] + (g,) + seq[i:]
-    partners = alphabet.similar_partners
+    """Every sequence one cost-1 deletion or swap away from ``seq`` (see the
+    module docstring for why insertions are not needed)."""
+    if alphabet.indel_cost == 1:
+        for i in range(len(seq)):
+            yield seq[:i] + seq[i + 1 :]
+    if alphabet.dissimilar_substitution_cost == 1:
+        swaps = dict.fromkeys(alphabet.graphemes, alphabet.graphemes)
+    elif alphabet.similar_substitution_cost == 1:
+        swaps = alphabet.similar_partners
+    else:
+        return
     for i, g in enumerate(seq):
-        for p in partners[g]:
+        for p in swaps[g]:
             yield seq[:i] + (p,) + seq[i + 1 :]
 
 

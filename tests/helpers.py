@@ -6,9 +6,10 @@ Python, the grid recount walks every token pair with nested loops,
 and the network oracle compares every pair of types whose lengths differ by
 at most one. The parse oracle builds one token per occurrence, the
 normalization oracle segments every occurrence, and the generator oracles
-call the source kernel once per candidate and rebuild each distribution's
-weights per draw; the memoised library versions must match them RNG call
-for RNG call. Apart from the kernel table, the corpus data classes and
+call the source kernel once per candidate, rebuild each distribution's
+weights per draw and refilter the mutation kinds per edit, all drawing with
+``rng.choices``; the library's tables built once per ``generate`` call must
+match them RNG call for RNG call. Apart from the kernel table, the corpus data classes and
 ``assemble_corpus``, none shares code with the library internals it
 checks. The hand-enumerated grid cases live here too, shared between the
 unit tests and the acceptance suite, and so does ``batch_distances``, which
@@ -303,6 +304,35 @@ def oracle_pick_source(history, current_line, m, rng, params):
     if not candidates:
         return None
     return rng.choices(candidates, weights)[0]
+
+
+def oracle_mutate(seq, rng, alphabet, params, insertable):
+    """One edit, filtering the mutation kinds and drawing with
+    ``rng.choices(kinds, weights)`` on every call."""
+    partners = alphabet.similar_partners
+    kinds = []
+    weights = []
+    for kind, weight in params.mutation_kind_weights:
+        if weight <= 0:
+            continue
+        if kind == "delete" and len(seq) <= 1:
+            continue
+        if kind == "substitute_similar" and not any(partners[g] for g in seq):
+            continue
+        kinds.append(kind)
+        weights.append(weight)
+    if not kinds:
+        kinds, weights = ["insert"], [1.0]
+    kind = rng.choices(kinds, weights)[0]
+    if kind == "insert":
+        pos = rng.randrange(len(seq) + 1)
+        return seq[:pos] + (rng.choice(insertable),) + seq[pos:]
+    if kind == "delete":
+        pos = rng.randrange(len(seq))
+        return seq[:pos] + seq[pos + 1 :]
+    eligible = [i for i, g in enumerate(seq) if partners[g]]
+    pos = rng.choice(eligible)
+    return seq[:pos] + (rng.choice(partners[seq[pos]]),) + seq[pos + 1 :]
 
 
 def oracle_draw(rng, distribution) -> int:

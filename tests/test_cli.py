@@ -392,6 +392,33 @@ def test_rerun_detects_changed_input(toy_input, tmp_path, capsys):
     assert "changed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("inside", [False, True], ids=["from_origin", "from_inside"])
+def test_rerun_resolves_paths_against_the_manifest(
+    inside, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a").mkdir()
+    assert main(["generate", "--tokens", "300", "--seed", "3", "--out", "a/g.evt"]) == 0
+    assert main([
+        "stats", "--input", "a/g.evt", "--rank-frequency-out", "a/ranks.csv",
+        "--out", "a/s.json",
+    ]) == 0
+    manifest = json.loads((tmp_path / "a" / "s.json.manifest.json").read_text())
+    assert [e["path"] for e in manifest["inputs"]] == ["g.evt"]
+    assert [e["path"] for e in manifest["outputs"]] == ["s.json", "ranks.csv"]
+    assert "g.evt" in manifest["argv"] and "a/g.evt" not in manifest["argv"]
+    assert manifest["params"]["input"] == "g.evt"
+    if inside:
+        monkeypatch.chdir(tmp_path / "a")
+        code = main(["rerun", "s.json.manifest.json", "--out-dir", "../o"])
+    else:
+        code = main(["rerun", "a/s.json.manifest.json", "--out-dir", "o"])
+    assert code == 0, capsys.readouterr().err
+    for name in ("s.json", "ranks.csv"):
+        fresh = (tmp_path / "o" / name).read_bytes()
+        assert fresh == (tmp_path / "a" / name).read_bytes()
+
+
 @pytest.mark.parametrize("content", ["{}", "[1]"], ids=["no_fields", "list"])
 def test_rerun_malformed_manifest_is_data_error(content, tmp_path, capsys):
     manifest = tmp_path / "run.manifest.json"

@@ -4,14 +4,18 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from selfcite.corpus import format_transliteration, normalize, parse_transliteration
+from selfcite.editdist import Alphabet
 from selfcite.generator import (
+    MUTATION_KINDS,
     SOURCE_BIAS_KERNELS,
     GeneratorParams,
     _cumulative,
     _draw,
+    _kind_tables,
+    _mutate,
     _pick_source,
     generate,
     shuffle_control,
@@ -20,7 +24,7 @@ from selfcite.generator import (
 from selfcite.posstats import positional_stats
 from selfcite.profiles import load_profile
 
-from helpers import oracle_draw, oracle_pick_source
+from helpers import oracle_draw, oracle_mutate, oracle_pick_source
 
 PROFILE = load_profile("vms")
 VMS = PROFILE.alphabet
@@ -196,6 +200,36 @@ def test_draw_matches_per_call_oracle(weights, seed):
     fast, slow = random.Random(seed), random.Random(seed)
     for _ in range(5):
         assert _draw(fast, cumulative) == oracle_draw(slow, distribution)
+        assert fast.getstate() == slow.getstate()
+
+
+# "a" and "o" are similar; "ch", "d" and "y" have no partner, so words of
+# them alone cannot take a similar substitution, and one-grapheme words
+# cannot take a deletion.
+MUTATE_ALPHABET = Alphabet(
+    graphemes=("ch", "a", "o", "d", "y"),
+    similarity_groups=(frozenset({"a", "o"}),),
+)
+
+
+@given(
+    word=st.lists(st.sampled_from(MUTATE_ALPHABET.graphemes), min_size=1, max_size=4),
+    order=st.permutations(MUTATION_KINDS),
+    weights=st.lists(st.sampled_from([0.0, 0.3, 0.35, 1.0]), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mutate_matches_per_call_oracle(word, order, weights, seed):
+    assume(any(weights))
+    params = GeneratorParams(mutation_kind_weights=tuple(zip(order, weights)))
+    tables = _kind_tables(params)
+    partners = MUTATE_ALPHABET.similar_partners
+    insertable = MUTATE_ALPHABET.graphemes
+    seq = tuple(word)
+    fast, slow = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert _mutate(seq, fast, partners, tables, insertable) == (
+            oracle_mutate(seq, slow, MUTATE_ALPHABET, params, insertable)
+        )
         assert fast.getstate() == slow.getstate()
 
 

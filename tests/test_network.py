@@ -48,19 +48,14 @@ def test_similar_substitution_edge_but_not_dissimilar():
     assert ("chol", "chql") not in graph.edges()
 
 
-def test_strategies_agree_on_random_tables():
-    rng = random.Random(2024)
-    alphabet = Alphabet(
-        graphemes=("ch", "a", "b", "o", "y"),
-        similarity_groups=(frozenset({"a", "o"}), frozenset({"o", "y"})),
-    )
-    for trial in range(100):
+def _agree_on_random_tables(alphabet, symbols, seed, trials):
+    rng = random.Random(seed)
+    for trial in range(trials):
         n_types = rng.randrange(2, 60)
         words = set()
         while len(words) < n_types:
             length = rng.randrange(1, 5)
-            words.add("".join(rng.choice(("ch", "a", "b", "o", "y"))
-                              for _ in range(length)))
+            words.add("".join(rng.choice(symbols) for _ in range(length)))
         table = TypeTable(
             {w: TypeInfo(rng.randrange(1, 12), alphabet.segment(w))
              for w in words}
@@ -70,6 +65,42 @@ def test_strategies_agree_on_random_tables():
         graph = build_graph(table, alphabet, min_freq=3)
         assert graph.nodes == set(frequent), trial
         assert graph.edges() == bucket_edges(frequent, alphabet), trial
+
+
+def test_strategies_agree_on_random_tables():
+    alphabet = Alphabet(
+        graphemes=("ch", "a", "b", "o", "y"),
+        similarity_groups=(frozenset({"a", "o"}), frozenset({"o", "y"})),
+    )
+    _agree_on_random_tables(alphabet, ("ch", "a", "b", "o", "y"), 2024, 100)
+
+
+COST_ALPHABETS = {
+    # every edit costs 1, as under the ``chars`` profile: all swaps count
+    "unit": Alphabet.single_characters("aboy"),
+    # indels cost 2, so only the similar swap is one edit
+    "indel2": Alphabet.single_characters(
+        "aboy", similarity_groups=[{"a", "o"}],
+        dissimilar_substitution_cost=3, indel_cost=2,
+    ),
+    # every edit costs 2: no distance-1 pair exists
+    "no_unit_edit": Alphabet.single_characters(
+        "aboy", similar_substitution_cost=2, dissimilar_substitution_cost=2,
+        indel_cost=2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COST_ALPHABETS))
+def test_edges_follow_the_profile_costs(name):
+    _agree_on_random_tables(COST_ALPHABETS[name], "aboy", 5, 60)
+
+
+def test_unit_cost_profile_links_single_swaps():
+    alphabet = Alphabet.single_characters("abcot")
+    graph = build_graph(_table({"cat": 4, "bat": 4, "cot": 4}, alphabet),
+                        alphabet, min_freq=3)
+    assert graph.edges() == {("bat", "cat"), ("cat", "cot")}
 
 
 def test_strategies_agree_on_larger_table():
