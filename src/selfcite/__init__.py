@@ -13,8 +13,6 @@ from selfcite.corpus import (
     Line,
     Locus,
     ParseError,
-    ParserOptions,
-    PlainOptions,
     Token,
     filter_pages,
     format_transliteration,
@@ -60,8 +58,6 @@ __all__ = [
     "Line",
     "Locus",
     "ParseError",
-    "ParserOptions",
-    "PlainOptions",
     "PositionalReport",
     "Profile",
     "Rate",

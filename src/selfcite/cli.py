@@ -23,7 +23,6 @@ from pathlib import Path
 import selfcite
 from selfcite.corpus import (
     ParseError,
-    ParserOptions,
     filter_pages,
     format_transliteration,
     normalize,
@@ -87,7 +86,7 @@ def _load_corpus(args) -> tuple[object, Profile]:
         corpus = parse_plaintext(text)
     else:
         units = frozenset(args.units.split(",")) if args.units else None
-        corpus = parse_transliteration(text, ParserOptions(units=units))
+        corpus = parse_transliteration(text, units)
     if args.profile == "chars":
         profile = profile_from_corpus(corpus)
     else:
@@ -221,10 +220,9 @@ def _cmd_grid(args) -> int:
         alphabet=profile.alphabet,
         max_line_offset=args.rows,
         max_pos_offset=cols,
-        target_distance=args.distance,
         drop_line_edges=args.drop_line_edges,
     )
-    grid = compute_grid(corpus, spec)
+    grid = compute_grid(corpus, spec, args.distance)
     _emit(args, render_grid(grid, args.format))
     return 0
 
@@ -236,9 +234,7 @@ def _cmd_network(args) -> int:
     graph = build_graph(table, profile.alphabet, args.min_freq)
     rows = ["type_a,type_b,operation"]
     for a, b in sorted(graph.edges()):
-        op = edge_operation(
-            table.entries[a].graphemes, table.entries[b].graphemes, profile.alphabet
-        )
+        op = edge_operation(table.entries[a].graphemes, table.entries[b].graphemes)
         rows.append(f"{a},{b},{op}")
     _emit(args, ("\n".join(rows) + "\n").encode("utf-8"))
     return 0
@@ -384,23 +380,21 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
-def _add_io_options(sub, *, kind=True, profile_default="vms", pages=True):
+def _add_io_options(sub):
     sub.add_argument("--input", required=True, help="input corpus file")
-    if kind:
-        sub.add_argument(
-            "--kind", choices=("transliteration", "plaintext"),
-            default="transliteration", help="input format",
-        )
     sub.add_argument(
-        "--profile", default=profile_default,
+        "--kind", choices=("transliteration", "plaintext"),
+        default="transliteration", help="input format",
+    )
+    sub.add_argument(
+        "--profile", default="vms",
         help="profile: builtin name, JSON path, or 'chars' to derive "
              "single-character costs from the input",
     )
     sub.add_argument("--units", default=None,
                      help="comma-separated locus unit kinds to keep (e.g. P)")
-    if pages:
-        sub.add_argument("--pages", default=None,
-                         help="file with one page id per line")
+    sub.add_argument("--pages", default=None,
+                     help="file with one page id per line")
     sub.add_argument("--min-graphemes", type=_non_negative_int, default=2,
                      dest="min_graphemes",
                      help="drop tokens shorter than this many graphemes")
@@ -447,12 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("network", help="distance-1 similarity edges as CSV")
     _add_io_options(sub)
-    sub.add_argument("--min-freq", type=int, default=4, dest="min_freq")
+    sub.add_argument("--min-freq", type=_positive_int, default=4, dest="min_freq")
     sub.set_defaults(func=_cmd_network)
 
     sub = subs.add_parser("path", help="shortest similarity path between types")
     _add_io_options(sub)
-    sub.add_argument("--min-freq", type=int, default=4, dest="min_freq")
+    sub.add_argument("--min-freq", type=_positive_int, default=4, dest="min_freq")
     sub.add_argument("--from", required=True, help="start word type")
     sub.add_argument("--to", required=True, help="end word type")
     sub.set_defaults(func=_cmd_path)

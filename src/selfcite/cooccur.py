@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from selfcite.corpus import Corpus, require_graphemes
@@ -41,12 +41,12 @@ from selfcite.editdist import bounded_distance_ids  # noqa: F401
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Window shape and match predicate for a co-occurrence grid."""
+    """Window shape of a co-occurrence grid and the alphabet whose costs
+    measure distance."""
 
     alphabet: Alphabet
     max_line_offset: int = 9
     max_pos_offset: int = 6
-    target_distance: int = 0
     drop_line_edges: bool = False
 
     def __post_init__(self):
@@ -54,8 +54,6 @@ class GridSpec:
             raise ValueError("max_line_offset must be >= 1")
         if self.max_pos_offset < 1:
             raise ValueError("max_pos_offset must be >= 1")
-        if self.target_distance < 0:
-            raise ValueError("target_distance must be >= 0")
 
     def iter_cells(self) -> Iterator[tuple[int, int]]:
         """All (line_offset, pos_offset) cells; row 0 keeps only j < 0."""
@@ -83,9 +81,6 @@ class GridCell:
 class CooccurrenceGrid:
     spec: GridSpec
     cells: dict[tuple[int, int], GridCell]
-
-    def cell(self, line_offset: int, pos_offset: int) -> GridCell:
-        return self.cells[(line_offset, pos_offset)]
 
     def proportion(self, line_offset: int, pos_offset: int) -> float | None:
         return self.cells[(line_offset, pos_offset)].proportion
@@ -129,16 +124,12 @@ def _cell_keys(matrix, edges, n_types: int, i: int, j: int, drop_edges: bool):
     height, width = matrix.shape
     if i >= height or abs(j) >= width:
         return np.empty(0, dtype=np.int64)
-    if j >= 0:
-        target = matrix[i:, : width - j]
-        cand = matrix[: height - i, j:]
-        target_edge = edges[i:, : width - j]
-        cand_edge = edges[: height - i, j:]
-    else:
-        target = matrix[i:, -j:]
-        cand = matrix[: height - i, : width + j]
-        target_edge = edges[i:, -j:]
-        cand_edge = edges[: height - i, : width + j]
+    # target columns [lo, hi) pair with candidate columns [lo + j, hi + j)
+    lo, hi = max(0, -j), width - max(0, j)
+    target = matrix[i:, lo:hi]
+    cand = matrix[: height - i, lo + j : hi + j]
+    target_edge = edges[i:, lo:hi]
+    cand_edge = edges[: height - i, lo + j : hi + j]
     valid = (target >= 0) & (cand >= 0)
     if drop_edges:
         valid &= ~target_edge & ~cand_edge
@@ -176,6 +167,8 @@ def compute_grids(
         raise ValueError("corpus has no lines")
     if not distances:
         raise ValueError("need at least one target distance")
+    if min(distances) < 0:
+        raise ValueError("target distances must be >= 0")
     matrix, edges, seqs = _corpus_matrices(corpus, spec.alphabet)
     n_types = max(len(seqs), 1)
     cells = list(spec.iter_cells())
@@ -198,15 +191,12 @@ def compute_grids(
         pair_count = int(counts.sum())
         for d in distances:
             grids[d][cell] = GridCell(pair_count, int(tally[d]))
-    return {
-        d: CooccurrenceGrid(replace(spec, target_distance=d), grids[d])
-        for d in distances
-    }
+    return {d: CooccurrenceGrid(spec, grids[d]) for d in distances}
 
 
-def compute_grid(corpus: Corpus, spec: GridSpec) -> CooccurrenceGrid:
-    """The co-occurrence grid for the spec's target distance."""
-    return compute_grids(corpus, spec, [spec.target_distance])[spec.target_distance]
+def compute_grid(corpus: Corpus, spec: GridSpec, distance: int = 0) -> CooccurrenceGrid:
+    """The co-occurrence grid of words at exactly ``distance``."""
+    return compute_grids(corpus, spec, [distance])[distance]
 
 
 def summarize_decay(grid: CooccurrenceGrid) -> dict[int, float]:

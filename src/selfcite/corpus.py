@@ -32,9 +32,6 @@ from typing import Iterable, Iterator
 
 from selfcite.editdist import Alphabet
 
-TRANSLITERATION = "transliteration"
-PLAINTEXT = "plaintext"
-
 
 class ParseError(ValueError):
     """Malformed input, reported with its 1-based source line number."""
@@ -95,8 +92,6 @@ class Line:
 @dataclass(frozen=True)
 class Corpus:
     lines: tuple[Line, ...]
-    page_order: tuple[str, ...]
-    source_kind: str
 
     def token_count(self) -> int:
         return sum(len(line.tokens) for line in self.lines)
@@ -104,24 +99,6 @@ class Corpus:
     def iter_tokens(self) -> Iterator[Token]:
         for line in self.lines:
             yield from line.tokens
-
-
-@dataclass(frozen=True)
-class ParserOptions:
-    """Transliteration parsing options.
-
-    ``units`` restricts ingestion to locus unit kinds (e.g. {"P"} keeps
-    paragraph text and drops labels); None keeps every locus.
-    """
-
-    units: frozenset[str] | None = None
-
-
-@dataclass(frozen=True)
-class PlainOptions:
-    """Plaintext parsing options."""
-
-    fold_case: bool = True
 
 
 _LOCUS_RE = re.compile(
@@ -160,25 +137,37 @@ def read_text(path: str | Path) -> str:
     return decode_text(read_bytes(path), path)
 
 
+# Type checks for values read from parameter and profile files: each
+# ValueError names the field, so a wrongly typed value is a data error.
+
+def require_int(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def require_strings(name: str, value) -> tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(item, str) for item in value
+    ):
+        raise ValueError(f"{name} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 #: One retained source line: its locus, its tokens and its paragraph id.
 LineRecord = tuple[Locus, tuple[Token, ...], int]
 
 
-def assemble_corpus(records: list[LineRecord], source_kind: str) -> Corpus:
-    """Build a corpus from line records given in source order.
-
-    Paragraph-initial/final flags follow from the paragraph ids, and the
-    page order from the sequence of distinct consecutive pages.
-    """
+def assemble_corpus(records: list[LineRecord]) -> Corpus:
+    """Build a corpus from line records given in source order; each line's
+    paragraph-initial and paragraph-final flags follow from the paragraph
+    ids of its neighbours."""
     lines = []
-    pages: list[str] = []
     for idx, (locus, tokens, para_id) in enumerate(records):
         initial = idx == 0 or records[idx - 1][2] != para_id
         final = idx == len(records) - 1 or records[idx + 1][2] != para_id
         lines.append(Line(locus, tokens, initial, final, para_id))
-        if not pages or pages[-1] != locus.page:
-            pages.append(locus.page)
-    return Corpus(tuple(lines), tuple(pages), source_kind)
+    return Corpus(tuple(lines))
 
 
 def require_graphemes(token: Token) -> tuple[str, ...]:
@@ -191,12 +180,14 @@ def require_graphemes(token: Token) -> tuple[str, ...]:
     return token.graphemes
 
 
-def parse_transliteration(text: str, options: ParserOptions = ParserOptions()) -> Corpus:
+def parse_transliteration(text: str, units: frozenset[str] | None = None) -> Corpus:
     """Parse transliteration text into a corpus.
 
-    Raises :class:`ParseError` for content lines without a well-formed
-    locus tag, and ``ValueError("empty corpus")`` when nothing remains.
-    All occurrences of a word share one :class:`Token`.
+    ``units`` restricts ingestion to locus unit kinds (e.g. {"P"} keeps
+    paragraph text and drops labels); None keeps every locus. Raises
+    :class:`ParseError` for content lines without a well-formed locus tag
+    (or with line number 0), and ``ValueError("empty corpus")`` when
+    nothing remains. All occurrences of a word share one :class:`Token`.
     """
     by_raw: dict[str, Token] = {}
     records: list[LineRecord] = []
@@ -215,18 +206,21 @@ def parse_transliteration(text: str, options: ParserOptions = ParserOptions()) -
         match = _LOCUS_RE.match(stripped)
         if match is None:
             raise ParseError(line_no, f"malformed locus tag in {stripped[:40]!r}")
-        locus = Locus(
-            page=match.group("page"),
-            unit=match.group("unit"),
-            line_no=int(match.group("line")),
-            raw_tag=match.group(0),
-        )
+        try:
+            locus = Locus(
+                page=match.group("page"),
+                unit=match.group("unit"),
+                line_no=int(match.group("line")),
+                raw_tag=match.group(0),
+            )
+        except ValueError as exc:
+            raise ParseError(line_no, f"{exc} in {match.group(0)!r}") from None
         body = _BRACE_RE.sub("", stripped[match.end():])
         ends_paragraph = body.rstrip().endswith("=")
         body = body.replace("!", "").replace("%", "")
         token_strings = [t for t in _SEPARATORS_RE.split(body) if t]
 
-        if options.units is not None and locus.unit_kind not in options.units:
+        if units is not None and locus.unit_kind not in units:
             pending_break = True
             continue
 
@@ -242,16 +236,16 @@ def parse_transliteration(text: str, options: ParserOptions = ParserOptions()) -
 
     if not records:
         raise ValueError("empty corpus")
-    return assemble_corpus(records, TRANSLITERATION)
+    return assemble_corpus(records)
 
 
-def parse_plaintext(text: str, options: PlainOptions = PlainOptions()) -> Corpus:
+def parse_plaintext(text: str) -> Corpus:
     """Parse newline-delimited plain text into a corpus.
 
-    Tokens are split on whitespace with punctuation stripped from their
-    edges; lines left empty are dropped. Blank source lines separate
-    paragraphs. The whole text is treated as a single page "text". All
-    occurrences of a word share one :class:`Token`.
+    Tokens are split on whitespace, stripped of punctuation at their edges
+    and case folded; lines left empty are dropped. Blank source lines
+    separate paragraphs. The whole text is treated as a single page "text".
+    All occurrences of a word share one :class:`Token`.
     """
     by_raw: dict[str, Token] = {}
     records: list[LineRecord] = []
@@ -264,11 +258,9 @@ def parse_plaintext(text: str, options: PlainOptions = PlainOptions()) -> Corpus
             continue
         tokens = []
         for word in raw_line.split():
-            word = word.strip(_EDGE_PUNCT)
+            word = word.strip(_EDGE_PUNCT).casefold()
             if not word:
                 continue
-            if options.fold_case:
-                word = word.casefold()
             tokens.append(by_raw.get(word) or by_raw.setdefault(word, Token(word)))
         if not tokens:
             pending_break = True
@@ -281,7 +273,7 @@ def parse_plaintext(text: str, options: PlainOptions = PlainOptions()) -> Corpus
         records.append((locus, tuple(tokens), para_id))
     if not records:
         raise ValueError("empty corpus")
-    return assemble_corpus(records, PLAINTEXT)
+    return assemble_corpus(records)
 
 
 def normalize(corpus: Corpus, alphabet: Alphabet, min_graphemes: int = 2) -> Corpus:
@@ -315,7 +307,7 @@ def normalize(corpus: Corpus, alphabet: Alphabet, min_graphemes: int = 2) -> Cor
             kept.append((line.locus, tuple(tokens), line.paragraph_id))
     if not kept:
         raise ValueError("empty corpus")
-    return assemble_corpus(kept, corpus.source_kind)
+    return assemble_corpus(kept)
 
 
 def filter_pages(corpus: Corpus, pages: Iterable[str]) -> Corpus:
@@ -331,7 +323,7 @@ def filter_pages(corpus: Corpus, pages: Iterable[str]) -> Corpus:
             for line in corpus.lines if line.locus.page in page_set]
     if not kept:
         raise ValueError("no lines match")
-    return assemble_corpus(kept, corpus.source_kind)
+    return assemble_corpus(kept)
 
 
 def format_transliteration(corpus: Corpus) -> str:

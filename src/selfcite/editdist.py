@@ -82,7 +82,7 @@ class Alphabet:
             "indel_cost",
         ):
             cost = getattr(self, name)
-            if not isinstance(cost, int) or cost < 1:
+            if isinstance(cost, bool) or not isinstance(cost, int) or cost < 1:
                 raise ValueError(f"{name} must be a positive integer, got {cost!r}")
         if self.similar_substitution_cost > self.dissimilar_substitution_cost:
             raise ValueError(

@@ -28,7 +28,6 @@ from itertools import accumulate, chain, count, repeat
 from pathlib import Path
 
 from selfcite.corpus import (
-    TRANSLITERATION,
     Corpus,
     LineRecord,
     Locus,
@@ -36,6 +35,8 @@ from selfcite.corpus import (
     assemble_corpus,
     normalize,
     read_text,
+    require_int,
+    require_strings,
 )
 from selfcite.cooccur import GridSpec, compute_grids
 from selfcite.editdist import Alphabet
@@ -59,20 +60,6 @@ def _number(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return value
-
-
-def _integer(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _strings(name: str, value) -> tuple[str, ...]:
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(item, str) for item in value
-    ):
-        raise ValueError(f"{name} must be a list of strings, got {value!r}")
-    return tuple(value)
 
 
 def _pairs(name: str, value) -> tuple[tuple, ...]:
@@ -143,7 +130,7 @@ class GeneratorParams:
             "line_final_glyphs",
             "excluded_graphemes",
         ):
-            object.__setattr__(self, name, _strings(name, getattr(self, name)))
+            object.__setattr__(self, name, require_strings(name, getattr(self, name)))
         for name in (
             "mutation_count_distribution",
             "line_length_distribution",
@@ -156,7 +143,7 @@ class GeneratorParams:
         )
         object.__setattr__(self, "mutation_kind_weights", kinds)
         for name in ("source_window_lines", "rng_seed", "target_token_count"):
-            _integer(name, getattr(self, name))
+            require_int(name, getattr(self, name))
         if not self.seed_words:
             raise ValueError("need at least one seed word")
         for name in (
@@ -444,7 +431,7 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
                 history.append(current)
         para_id += 1
 
-    return assemble_corpus(lines, TRANSLITERATION)
+    return assemble_corpus(lines)
 
 
 def shuffle_control(corpus: Corpus, rng_seed: int) -> Corpus:
@@ -459,7 +446,7 @@ def shuffle_control(corpus: Corpus, rng_seed: int) -> Corpus:
         n = len(line.tokens)
         out.append(replace(line, tokens=tuple(tokens[cursor : cursor + n])))
         cursor += n
-    return Corpus(tuple(out), corpus.page_order, corpus.source_kind)
+    return Corpus(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -491,13 +478,10 @@ class SignatureReport:
 
 
 def validate_signature(
-    corpus: Corpus,
-    alphabet: Alphabet,
-    max_line_offset: int = 9,
-    max_pos_offset: int = 6,
-    min_graphemes: int = 2,
+    corpus: Corpus, alphabet: Alphabet, min_graphemes: int = 2
 ) -> SignatureReport:
-    """Measure the self-citation signature of a corpus.
+    """Measure the self-citation signature of a corpus over the default
+    window of 9 previous lines and 6 positions each side.
 
     ``adjacency_lift`` is the identical-word proportion immediately left of
     the writing position divided by the mean proportion of the deepest row;
@@ -511,23 +495,19 @@ def validate_signature(
             "corpus too small: need at least 2000 tokens of at least "
             f"{min_graphemes} graphemes"
         )
-    spec = GridSpec(
-        alphabet=alphabet,
-        max_line_offset=max_line_offset,
-        max_pos_offset=max_pos_offset,
-    )
+    spec = GridSpec(alphabet=alphabet)
     grids = compute_grids(normalized, spec, (0, 1, 2))
     row_means = {
         d: {
             i: mean
-            for i in range(1, max_line_offset + 1)
+            for i in range(1, spec.max_line_offset + 1)
             if (mean := grid.row_mean(i)) is not None
         }
         for d, grid in grids.items()
     }
     adjacent = grids[0].proportion(0, -1)
     adjacent = 0.0 if adjacent is None else adjacent
-    deep = grids[0].row_mean(max_line_offset)
+    deep = grids[0].row_mean(spec.max_line_offset)
     if deep is None:
         lift = float("nan")
     elif deep == 0.0:

@@ -54,9 +54,6 @@ class TypeTable:
                     )
         return cls({w: TypeInfo(counts[w], graphemes[w]) for w in counts})
 
-    def total(self) -> int:
-        return sum(info.count for info in self.entries.values())
-
     def grapheme_counts(self) -> Counter:
         """Occurrences of each grapheme across all tokens."""
         counts = Counter()
@@ -68,7 +65,6 @@ class TypeTable:
 
 @dataclass(frozen=True)
 class SimilarityGraph:
-    min_freq: int
     adjacency: dict[str, tuple[str, ...]]
 
     @property
@@ -121,10 +117,7 @@ def build_graph(
             if other is not None and other != word:
                 adjacency[word].add(other)
                 adjacency[other].add(word)
-    return SimilarityGraph(
-        min_freq=min_freq,
-        adjacency={w: tuple(sorted(ns)) for w, ns in adjacency.items()},
-    )
+    return SimilarityGraph({w: tuple(sorted(ns)) for w, ns in adjacency.items()})
 
 
 def shortest_path(graph: SimilarityGraph, source: str, target: str) -> list[str] | None:
@@ -175,9 +168,7 @@ class RatioRow:
     grapheme_count_ratio: float
 
 
-def edge_operation(
-    a: tuple[str, ...], b: tuple[str, ...], alphabet: Alphabet
-) -> str:
+def edge_operation(a: tuple[str, ...], b: tuple[str, ...]) -> str:
     """Label the single edit separating two distance-1 sequences."""
     if len(a) == len(b):
         for i, (x, y) in enumerate(zip(a, b)):

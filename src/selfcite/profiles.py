@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from selfcite.corpus import Corpus, decode_text, read_bytes
+from selfcite.corpus import Corpus, decode_text, read_bytes, require_int, require_strings
 from selfcite.editdist import Alphabet
 
 BUILTIN_PROFILES = ("vms",)
@@ -49,38 +49,41 @@ class Profile:
         }
 
 
-def _profile_from_dict(data: dict, name: str, digest: str) -> Profile:
+def _profile_from_dict(data, name: str, digest: str) -> Profile:
+    """The profile ``data`` describes; a ValueError names the field at fault."""
     if not isinstance(data, dict):
-        raise ValueError("malformed profile: expected a JSON object")
-    try:
-        graphemes = data["graphemes"]
-    except KeyError:
-        raise ValueError("malformed profile: missing 'graphemes'") from None
-    if not isinstance(graphemes, list) or not all(isinstance(g, str) for g in graphemes):
-        raise ValueError("malformed profile: 'graphemes' must be a list of strings")
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    if "graphemes" not in data:
+        raise ValueError("missing 'graphemes'")
     groups = data.get("similarity_groups", [])
-    if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
-        raise ValueError("malformed profile: 'similarity_groups' must be a list of lists")
+    if not isinstance(groups, list) or not all(
+        isinstance(g, list) and all(isinstance(x, str) for x in g) for g in groups
+    ):
+        raise ValueError(
+            f"similarity_groups must be a list of lists of strings, got {groups!r}"
+        )
     alphabet = Alphabet(
-        graphemes=tuple(graphemes),
+        graphemes=require_strings("graphemes", data["graphemes"]),
         similarity_groups=tuple(frozenset(g) for g in groups),
         similar_substitution_cost=data.get("similar_substitution_cost", 1),
         dissimilar_substitution_cost=data.get("dissimilar_substitution_cost", 2),
         indel_cost=data.get("indel_cost", 1),
     )
-    for key in ("gallows", "prefixes", "line_final_glyphs"):
-        for g in data.get(key, []):
+    glyphs = {
+        key: frozenset(require_strings(key, data.get(key, [])))
+        for key in ("gallows", "prefixes", "line_final_glyphs")
+    }
+    for key, values in glyphs.items():
+        for g in sorted(values):
             if g not in alphabet:
-                raise ValueError(f"malformed profile: {key} grapheme {g!r} not in inventory")
-    return Profile(
-        name=data.get("name", name),
-        alphabet=alphabet,
-        gallows=frozenset(data.get("gallows", [])),
-        prefixes=frozenset(data.get("prefixes", [])),
-        line_final_glyphs=frozenset(data.get("line_final_glyphs", [])),
-        grid_pos_offset=int(data.get("grid_pos_offset", 6)),
-        digest=digest,
-    )
+                raise ValueError(f"{key} grapheme {g!r} not in inventory")
+    name = data.get("name", name)
+    if not isinstance(name, str):
+        raise ValueError(f"name must be a string, got {name!r}")
+    grid_pos_offset = require_int("grid_pos_offset", data.get("grid_pos_offset", 6))
+    if grid_pos_offset < 1:
+        raise ValueError(f"grid_pos_offset must be >= 1, got {grid_pos_offset}")
+    return Profile(name, alphabet, **glyphs, grid_pos_offset=grid_pos_offset, digest=digest)
 
 
 def load_profile(spec: str | Path) -> Profile:
@@ -101,14 +104,14 @@ def load_profile(spec: str | Path) -> Profile:
             )
         raw = read_bytes(path)
         name = path.stem
+    text = decode_text(raw, spec)
     try:
-        data = json.loads(decode_text(raw, spec))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed profile {name!r}: {exc}") from None
-    return _profile_from_dict(data, name, hashlib.sha256(raw).hexdigest())
+        return _profile_from_dict(json.loads(text), name, hashlib.sha256(raw).hexdigest())
+    except ValueError as exc:  # JSONDecodeError is one too
+        raise ValueError(f"malformed profile {spec}: {exc}") from None
 
 
-def profile_from_corpus(corpus: Corpus, name: str = "chars") -> Profile:
+def profile_from_corpus(corpus: Corpus) -> Profile:
     """Single-character profile over the characters observed in a corpus."""
     chars = sorted({c for tok in corpus.iter_tokens() for c in tok.raw})
     if not chars:
@@ -116,7 +119,7 @@ def profile_from_corpus(corpus: Corpus, name: str = "chars") -> Profile:
     alphabet = Alphabet.single_characters(chars)
     digest = hashlib.sha256(("chars:" + "".join(chars)).encode()).hexdigest()
     return Profile(
-        name=name,
+        name="chars",
         alphabet=alphabet,
         gallows=frozenset(),
         prefixes=frozenset(),

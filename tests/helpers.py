@@ -21,15 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import replace
 
-from selfcite.corpus import (
-    TRANSLITERATION,
-    Corpus,
-    Locus,
-    ParseError,
-    ParserOptions,
-    Token,
-    assemble_corpus,
-)
+from selfcite.corpus import Corpus, Locus, ParseError, Token, assemble_corpus
 from selfcite.editdist import Alphabet, are_similar, bounded_distances
 from selfcite.generator import SOURCE_BIAS_KERNELS
 
@@ -237,9 +229,7 @@ def bucket_edges(nodes: dict[str, tuple[str, ...]], alphabet: Alphabet):
 _ORACLE_LOCUS = re.compile(r"<([^<>.;,\s]+)\.([^<>.;,\s]+)\.(\d+)(?:;[^<>]*)?>")
 
 
-def oracle_parse_transliteration(
-    text: str, options: ParserOptions = ParserOptions()
-) -> Corpus:
+def oracle_parse_transliteration(text: str, units: frozenset[str] | None = None) -> Corpus:
     """Transliteration parsing with a fresh token for every occurrence."""
     records = []
     para_id = -1
@@ -260,7 +250,7 @@ def oracle_parse_transliteration(
         body = re.sub(r"\{[^}]*\}", "", stripped[match.end():])
         ends_paragraph = body.rstrip().endswith("=")
         body = body.replace("!", "").replace("%", "")
-        if options.units is not None and locus.unit_kind not in options.units:
+        if units is not None and locus.unit_kind not in units:
             pending_break = True
             continue
         if pending_break or prev != (page, unit):
@@ -271,7 +261,7 @@ def oracle_parse_transliteration(
         pending_break = ends_paragraph
     if not records:
         raise ValueError("empty corpus")
-    return assemble_corpus(records, TRANSLITERATION)
+    return assemble_corpus(records)
 
 
 def oracle_normalize(corpus: Corpus, alphabet: Alphabet, min_graphemes: int) -> Corpus:
@@ -287,7 +277,7 @@ def oracle_normalize(corpus: Corpus, alphabet: Alphabet, min_graphemes: int) -> 
             kept.append((line.locus, tuple(tokens), line.paragraph_id))
     if not kept:
         raise ValueError("empty corpus")
-    return assemble_corpus(kept, corpus.source_kind)
+    return assemble_corpus(kept)
 
 
 def oracle_pick_source(history, current_line, m, rng, params):

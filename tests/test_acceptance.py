@@ -113,12 +113,14 @@ def test_criterion_2_hand_grid_equivalence():
         )
         corpus = normalize(parse_transliteration(text), alphabet, min_graphemes=1)
         assert corpus.token_count() <= 20
-        grid = compute_grid(corpus, GridSpec(alphabet=alphabet, **kwargs))
+        kwargs = dict(kwargs)
+        distance = kwargs.pop("target_distance")
+        grid = compute_grid(corpus, GridSpec(alphabet=alphabet, **kwargs), distance)
         got = {c: (gc.pair_count, gc.match_count) for c, gc in grid.cells.items()}
         assert got == expected, name
         recount = brute_force_grid_counts(
             corpus, alphabet, kwargs["max_line_offset"], kwargs["max_pos_offset"],
-            kwargs["target_distance"], kwargs.get("drop_line_edges", False),
+            distance, kwargs.get("drop_line_edges", False),
         )
         assert recount == expected, name
     _report("criterion 2", f"{len(HAND_GRID_CASES)} hand-enumerated grids match")
@@ -131,11 +133,7 @@ def test_criterion_2_hand_grid_equivalence():
 def test_criterion_3_grid_cells_and_runtime(vms_normalized):
     spec = GridSpec(alphabet=PROFILE.alphabet, max_line_offset=9, max_pos_offset=6)
     started = time.perf_counter()
-    grid1 = compute_grid(
-        vms_normalized,
-        GridSpec(alphabet=PROFILE.alphabet, max_line_offset=9, max_pos_offset=6,
-                 target_distance=1),
-    )
+    grid1 = compute_grid(vms_normalized, spec, 1)
     single_run = time.perf_counter() - started
     grids = compute_grids(vms_normalized, spec, (0, 2))
     checks = [

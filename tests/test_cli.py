@@ -55,6 +55,8 @@ def test_out_of_range_values_are_usage_errors(toy_input, capsys):
         ["grid", "--input", str(toy_input), "--distance", "-1"],
         ["stats", "--input", str(toy_input), "--min-graphemes", "-1"],
         ["generate", "--tokens", "0"],
+        ["network", "--input", str(toy_input), "--min-freq", "-5"],
+        ["path", "--input", str(toy_input), "--min-freq", "0", "--from", "a", "--to", "b"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -70,10 +72,15 @@ def test_missing_file_is_data_error(capsys):
 
 def test_malformed_corpus_names_line(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
-    bad.write_text("<f1r.P.1> daiin\noops\n", encoding="utf-8")
-    code = main(["stats", "--input", str(bad)])
-    assert code == 1
-    assert "line 2" in capsys.readouterr().err
+    for text, named in (
+        ("<f1r.P.1> daiin\noops\n", "'oops'"),
+        ("<f1r.P.1> daiin\n<f1r.P.0> chedy\n", "'<f1r.P.0>'"),
+    ):
+        bad.write_text(text, encoding="utf-8")
+        code = main(["stats", "--input", str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and named in err, err
 
 
 def test_input_encoding(tmp_path, capsys):

@@ -49,12 +49,14 @@ XYZ = HAND_ALPHABETS["xyz"]
 def test_hand_enumerated_grids(name, lines, alphabet_key, kwargs, expected):
     alphabet = HAND_ALPHABETS[alphabet_key]
     corpus = _corpus(lines, alphabet)
+    kwargs = dict(kwargs)
+    distance = kwargs.pop("target_distance")
     spec = GridSpec(alphabet=alphabet, **kwargs)
-    grid = compute_grid(corpus, spec)
+    grid = compute_grid(corpus, spec, distance)
     assert _counts(grid) == expected
     recount = brute_force_grid_counts(
         corpus, alphabet, spec.max_line_offset, spec.max_pos_offset,
-        spec.target_distance, spec.drop_line_edges,
+        distance, spec.drop_line_edges,
     )
     assert recount == expected
 
@@ -94,9 +96,9 @@ def test_token_less_lines_still_count_as_lines():
     ))
     spec = GridSpec(alphabet=XYZ, max_line_offset=2, max_pos_offset=1)
     grid = compute_grid(corpus, spec)
-    assert grid.cell(1, 0).pair_count == 0
-    assert grid.cell(2, 0).pair_count == 2
-    assert grid.cell(2, 0).match_count == 1
+    assert grid.cells[(1, 0)].pair_count == 0
+    assert grid.cells[(2, 0)].pair_count == 2
+    assert grid.cells[(2, 0)].match_count == 1
     recount = brute_force_grid_counts(corpus, XYZ, 2, 1, 0)
     assert _counts(grid) == recount
 
@@ -124,9 +126,15 @@ def test_row_zero_right_side_excluded():
 
 def test_empty_corpus_rejected():
     corpus = _corpus([["x"]], XYZ)
-    empty = corpus.__class__(lines=(), page_order=(), source_kind="plaintext")
+    empty = corpus.__class__(lines=())
     with pytest.raises(ValueError, match="no lines"):
         compute_grid(empty, GridSpec(alphabet=XYZ))
+
+
+def test_negative_distance_rejected():
+    corpus = _corpus([["x", "y"]], XYZ)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        compute_grid(corpus, GridSpec(alphabet=XYZ), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +163,8 @@ def test_conservation_against_brute_force(seed):
     drop = seed % 2 == 1
     d = seed % 3
     spec = GridSpec(alphabet=alphabet, max_line_offset=3, max_pos_offset=2,
-                    target_distance=d, drop_line_edges=drop)
-    grid = compute_grid(corpus, spec)
+                    drop_line_edges=drop)
+    grid = compute_grid(corpus, spec, d)
     recount = brute_force_grid_counts(corpus, alphabet, 3, 2, d, drop)
     assert _counts(grid) == recount
 
@@ -169,8 +177,7 @@ def test_partition_consistency_multi_distance():
     together = compute_grids(corpus, spec, (0, 1, 2))
     for d in (0, 1, 2):
         single = compute_grid(
-            corpus, GridSpec(alphabet=alphabet, max_line_offset=4,
-                             max_pos_offset=3, target_distance=d)
+            corpus, GridSpec(alphabet=alphabet, max_line_offset=4, max_pos_offset=3), d
         )
         assert _counts(together[d]) == _counts(single)
 
@@ -190,9 +197,9 @@ def test_csv_determinism():
     rng = random.Random(21)
     alphabet = Alphabet.single_characters("abc")
     corpus = _random_corpus(rng, alphabet, n_lines=10, max_line_len=5)
-    spec = GridSpec(alphabet=alphabet, target_distance=1)
-    first = render_grid(compute_grid(corpus, spec), "csv")
-    second = render_grid(compute_grid(corpus, spec), "csv")
+    spec = GridSpec(alphabet=alphabet)
+    first = render_grid(compute_grid(corpus, spec, 1), "csv")
+    second = render_grid(compute_grid(corpus, spec, 1), "csv")
     assert first == second
 
 

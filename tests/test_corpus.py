@@ -3,8 +3,6 @@ from hypothesis import given, strategies as st
 
 from selfcite.corpus import (
     ParseError,
-    ParserOptions,
-    PlainOptions,
     filter_pages,
     format_transliteration,
     normalize,
@@ -41,7 +39,6 @@ def test_parse_two_lines():
     corpus = parse_transliteration("<f1r.P.1> daiin.ol\n<f1r.P.2> ol")
     assert len(corpus.lines) == 2
     assert corpus.token_count() == 3
-    assert corpus.page_order == ("f1r",)
 
 
 def test_parse_separators_fillers_and_comments():
@@ -65,7 +62,7 @@ def test_parse_malformed_tag_reports_line_number():
 
 def test_unit_filter_keeps_kinds():
     text = "<f1r.P1.1> daiin.ol\n<f1r.L.1> olkey\n<f1r.P2.1> chol"
-    corpus = parse_transliteration(text, ParserOptions(units=frozenset({"P"})))
+    corpus = parse_transliteration(text, frozenset({"P"}))
     assert len(corpus.lines) == 2
     assert all(line.locus.unit_kind == "P" for line in corpus.lines)
 
@@ -146,14 +143,13 @@ def transliteration_line(draw):
 )
 def test_parse_matches_per_token_oracle(lines, units):
     text = "\n".join(lines)
-    options = ParserOptions(units=units)
     try:
-        expected = oracle_parse_transliteration(text, options)
+        expected = oracle_parse_transliteration(text, units)
     except ValueError:
         with pytest.raises(ValueError, match="empty corpus"):
-            parse_transliteration(text, options)
+            parse_transliteration(text, units)
         return
-    corpus = parse_transliteration(text, options)
+    corpus = parse_transliteration(text, units)
     assert corpus == expected
     shared = {}
     for token in corpus.iter_tokens():
@@ -172,10 +168,8 @@ def test_plaintext_basic():
 
 
 def test_plaintext_double_space_and_case():
-    corpus = parse_plaintext("a  B", PlainOptions(fold_case=True))
+    corpus = parse_plaintext("a  B")
     assert [t.raw for t in corpus.lines[0].tokens] == ["a", "b"]
-    kept = parse_plaintext("a  B", PlainOptions(fold_case=False))
-    assert [t.raw for t in kept.lines[0].tokens] == ["a", "B"]
 
 
 def test_plaintext_punctuation_only_line_dropped():
@@ -309,7 +303,6 @@ def _two_page_corpus():
 
 def test_filter_pages_keeps_only_requested():
     corpus = filter_pages(_two_page_corpus(), {"f26r"})
-    assert corpus.page_order == ("f26r",)
     assert [l.locus.page for l in corpus.lines] == ["f26r", "f26r"]
 
 

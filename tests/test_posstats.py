@@ -109,7 +109,7 @@ def test_subgroup_transitive():
 
 def test_empty_corpus_rejected():
     corpus = _corpus("<f1r.P.1> chedy")
-    empty = corpus.__class__(lines=(), page_order=(), source_kind="transliteration")
+    empty = corpus.__class__(lines=())
     with pytest.raises(ValueError, match="empty corpus"):
         _stats(empty)
 

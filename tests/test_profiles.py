@@ -55,12 +55,22 @@ def test_load_profile_unknown_name():
     ('{"graphemes": ["a"], "similarity_groups": ["a"]}', "list of lists"),
     ('{"graphemes": ["a"], "gallows": ["q"]}', "not in inventory"),
     ("{nope", "malformed profile"),
+    ('{"graphemes": ["a"], "grid_pos_offset": [1]}', "grid_pos_offset must be an integer"),
+    ('{"graphemes": ["a"], "grid_pos_offset": 2.7}', "grid_pos_offset must be an integer"),
+    ('{"graphemes": ["a"], "grid_pos_offset": true}', "grid_pos_offset must be an integer"),
+    ('{"graphemes": ["a"], "grid_pos_offset": 0}', "grid_pos_offset must be >= 1"),
+    ('{"graphemes": ["k", "t"], "gallows": 5}', "gallows must be a list of strings"),
+    ('{"graphemes": ["k", "t"], "gallows": "kt"}', "gallows must be a list of strings"),
+    ('{"graphemes": ["a"], "name": 5}', "name must be a string"),
+    ('{"graphemes": ["a"], "indel_cost": true}', "indel_cost must be a positive integer"),
+    ('{"graphemes": ["a"], "similarity_groups": [["a", ["a"]]]}', "list of lists"),
 ])
 def test_load_profile_malformed(tmp_path, payload, message):
     path = tmp_path / "bad.json"
     path.write_text(payload, encoding="utf-8")
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as excinfo:
         load_profile(path)
+    assert str(excinfo.value).startswith(f"malformed profile {path}: ")
 
 
 def test_profile_from_corpus_uses_observed_characters():
