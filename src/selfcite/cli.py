@@ -392,7 +392,8 @@ def _add_io_options(sub):
              "single-character costs from the input",
     )
     sub.add_argument("--units", default=None,
-                     help="comma-separated locus unit kinds to keep (e.g. P)")
+                     help="comma-separated locus unit kinds to keep (e.g. P); "
+                          "transliterations only")
     sub.add_argument("--pages", default=None,
                      help="file with one page id per line")
     sub.add_argument("--min-graphemes", type=_non_negative_int, default=2,
@@ -487,6 +488,8 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "kind", None) == "plaintext" and args.units is not None:
+        parser.error("--units applies to transliterations only")
     args.argv = list(argv)
     try:
         return args.func(args)

@@ -9,16 +9,18 @@ words are compared.
 
 Counts are exact integers per cell; proportions are rational values formed
 at render time. Grids for several target distances are computed in a single
-pass:
+pass, bounded by the largest distance:
 
-1. Each cell's pair instances are encoded as canonical type-pair keys,
-   sorted, and reduced at once to distinct keys with a count each (an
-   adjacent-difference mask), so memory follows distinct pairs per cell,
-   not pair instances.
-2. The same sort and mask over all cells' distinct keys gives the distinct
-   pairs of the window, and :func:`selfcite.editdist.bounded_distances`
-   codes them all in one batch.
-3. Each cell tallies its counts per distance code with one ``bincount``.
+1. Each cell counts its pair instances, and those of a type with itself as
+   distance-0 matches, before any sort.
+2. It keeps the other instances that the lower bounds of
+   :func:`selfcite.editdist.within_lower_bounds` do not rule out, and reduces
+   their sorted canonical type-pair keys to distinct keys with a count each,
+   so memory follows distinct pairs per cell, not pair instances.
+3. One :func:`selfcite.editdist.bounded_distances` batch codes the window's
+   distinct kept pairs.
+4. Each cell looks its keys up among the pairs within the bound only and
+   tallies their counts per distance with one ``bincount``.
 
 numpy is imported inside the functions that use it, so importing this module
 (as the CLI does for every command) does not load it.
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from selfcite.corpus import Corpus, require_graphemes
-from selfcite.editdist import Alphabet, bounded_distances
+from selfcite.editdist import Alphabet, bounded_distances, within_lower_bounds, word_arrays
 # Re-exported: bench/spans.py wraps this name here, and its traced run fails
 # without it. cooccur never calls it, so the traced
 # ``editdist.bounded_distance_ids.calls`` reads 0.
@@ -117,13 +119,13 @@ def _corpus_matrices(corpus: Corpus, alphabet: Alphabet):
     return matrix, edges, [alphabet.encode(graphemes) for graphemes in type_ids]
 
 
-def _cell_keys(matrix, edges, n_types: int, i: int, j: int, drop_edges: bool):
-    """Canonical (lo*n_types + hi) pair keys for one window cell."""
+def _cell_pairs(matrix, edges, i: int, j: int, drop_edges: bool):
+    """(target, candidate) type ids of one window cell's pair instances."""
     import numpy as np
 
     height, width = matrix.shape
     if i >= height or abs(j) >= width:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     # target columns [lo, hi) pair with candidate columns [lo + j, hi + j)
     lo, hi = max(0, -j), width - max(0, j)
     target = matrix[i:, lo:hi]
@@ -133,9 +135,7 @@ def _cell_keys(matrix, edges, n_types: int, i: int, j: int, drop_edges: bool):
     valid = (target >= 0) & (cand >= 0)
     if drop_edges:
         valid &= ~target_edge & ~cand_edge
-    a = target[valid]
-    b = cand[valid]
-    return np.minimum(a, b) * n_types + np.maximum(a, b)
+    return target[valid], cand[valid]
 
 
 def _distinct(keys):
@@ -171,24 +171,31 @@ def compute_grids(
         raise ValueError("target distances must be >= 0")
     matrix, edges, seqs = _corpus_matrices(corpus, spec.alphabet)
     n_types = max(len(seqs), 1)
+    bound = max(distances)
+    _, lengths, masks = word_arrays(seqs, spec.alphabet)
+    indel = spec.alphabet.indel_cost
     cells = list(spec.iter_cells())
-    per_cell = [
-        _distinct(_cell_keys(matrix, edges, n_types, i, j, spec.drop_line_edges))
-        for i, j in cells
-    ]
-    all_keys, _ = _distinct(np.concatenate([keys for keys, _ in per_cell]))
-    bound = max(distances) + 1
+    per_cell = []
+    for i, j in cells:
+        a, b = _cell_pairs(matrix, edges, i, j, spec.drop_line_edges)
+        same = a == b
+        keep = ~same & within_lower_bounds(lengths, masks, a, b, bound, indel)
+        a, b = a[keep], b[keep]
+        keys, counts = _distinct(np.minimum(a, b) * n_types + np.maximum(a, b))
+        per_cell.append((len(same), int(same.sum()), keys, counts))
+    all_keys, _ = _distinct(np.concatenate([keys for _, _, keys, _ in per_cell]))
     lo, hi = np.divmod(all_keys, n_types)
     codes = bounded_distances(seqs, lo, hi, bound, spec.alphabet)
-
-    grids = {d: {cell: GridCell() for cell in cells} for d in distances}
-    for cell, (keys, counts) in zip(cells, per_cell):
-        if not len(keys):
-            continue
-        tally = np.bincount(
-            codes[np.searchsorted(all_keys, keys)], weights=counts, minlength=bound
-        )
-        pair_count = int(counts.sum())
+    near = codes <= bound
+    # A sentinel above every key takes the keys beyond the bound.
+    near_keys = np.append(all_keys[near], n_types * n_types)
+    near_codes = np.append(codes[near], bound + 1)
+    grids = {d: {} for d in distances}
+    for cell, (pair_count, same_count, keys, counts) in zip(cells, per_cell):
+        at = np.searchsorted(near_keys, keys)
+        at[near_keys[at] != keys] = -1
+        tally = np.bincount(near_codes[at], weights=counts, minlength=bound + 2)
+        tally[0] = same_count
         for d in distances:
             grids[d][cell] = GridCell(pair_count, int(tally[d]))
     return {d: CooccurrenceGrid(spec, grids[d]) for d in distances}

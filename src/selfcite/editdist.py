@@ -211,13 +211,57 @@ def bounded_distance_ids(
 ) -> int | None:
     """Distance between two id sequences if it is at most ``bound``, else None.
 
-    A batch of one through :func:`bounded_distances`.
+    A batch of one through :func:`bounded_distances`, after stripping the
+    common prefix and suffix, which metric costs never change.
     """
     import numpy as np
 
+    start = _common_prefix(a, b)
+    a, b = a[start:], b[start:]
+    end = _common_prefix(a[::-1], b[::-1])
+    a, b = a[: len(a) - end], b[: len(b) - end]
     first, second = np.arange(2).reshape(2, 1)
     value = int(bounded_distances((a, b), first, second, bound, alphabet)[0])
     return value if value <= bound else None
+
+
+def _common_prefix(x: Sequence[int], y: Sequence[int]) -> int:
+    mismatches = (k for k, (p, q) in enumerate(zip(x, y)) if p != q)
+    return next(mismatches, min(len(x), len(y)))
+
+
+def word_arrays(words: Sequence[tuple[int, ...]], alphabet: Alphabet):
+    """(table, lengths, masks) of id sequences: each word padded with the id
+    ``len(alphabet.graphemes)``, and with bit ``g % 64`` set for grapheme ``g``."""
+    import numpy as np
+
+    n_graphemes = len(alphabet.graphemes)
+    lengths = np.fromiter(map(len, words), dtype=np.int32, count=len(words))
+    width = int(lengths.max(initial=0))
+    table = np.full((len(words), width), n_graphemes, dtype=np.intp)
+    table[np.arange(width) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(words), dtype=np.intp, count=int(lengths.sum())
+    )
+    bits = np.left_shift(np.uint64(1), (table & 63).astype(np.uint64))
+    masks = np.bitwise_or.reduce(
+        np.where(table < n_graphemes, bits, np.uint64(0)), axis=1
+    )
+    return table, lengths, masks
+
+
+def within_lower_bounds(lengths, masks, a, b, bound: int, indel: int) -> np.ndarray:
+    """False where the length or the grapheme-mask lower bound, over the arrays
+    of :func:`word_arrays`, puts words ``a[p]`` and ``b[p]`` beyond ``bound``.
+
+    Each grapheme of length difference costs an indel, and a grapheme present
+    in one word only costs at least half an edit, so ``popcount(xor)`` of the
+    masks may not exceed ``2 * bound``; folding ids mod 64 only merges bits.
+    """
+    import numpy as np
+
+    return (np.abs(lengths[a] - lengths[b]) * indel <= bound) & (
+        np.bitwise_count(masks[a] ^ masks[b]) <= 2 * bound
+    )
 
 
 # Pairs walked together by the batched DP: enough to amortize numpy's
@@ -239,16 +283,12 @@ def bounded_distances(
     pair's distance when it is at most ``bound`` and ``bound + 1`` otherwise,
     in the smallest unsigned dtype that fits ``bound + 1``.
 
-    Two lower bounds settle most pairs without a DP: the length difference
-    costs at least one indel per grapheme, and a grapheme present in only one
-    word costs at least half an edit, so ``popcount(xor) > 2 * bound`` of the
-    grapheme-presence bitmasks proves the distance exceeds the bound (folding
-    ids mod 64 keeps that valid for any inventory). The rest run a banded DP
-    over the ``2 * (bound // indel) + 1`` diagonals around the main one,
-    grouped by the length of the first word so that each chunk walks its rows
-    together, and a chunk stops once every pair's row minimum exceeds the
-    bound (Ukkonen's cut-off). The scalar ``oracle_bounded_distance`` in
-    ``tests/helpers.py`` is its test reference.
+    The lower bounds of :func:`within_lower_bounds` settle most pairs without
+    a DP. The rest run a banded DP over the ``2 * (bound // indel) + 1``
+    diagonals around the main one, grouped by the length of the first word so
+    that each chunk walks its rows together, and a chunk stops once every
+    pair's row minimum exceeds the bound (Ukkonen's cut-off). The scalar
+    ``oracle_bounded_distance`` in ``tests/helpers.py`` is its test reference.
     """
     import numpy as np
 
@@ -256,26 +296,15 @@ def bounded_distances(
     out = np.full(len(a), inf, dtype=np.min_scalar_type(inf))
     if not len(a):
         return out
+    table, lengths, masks = word_arrays(words, alphabet)
     n_graphemes = len(alphabet.graphemes)
-    lengths = np.fromiter(map(len, words), dtype=np.int32, count=len(words))
-    width = int(lengths.max())
-    table = np.full((len(words), width), n_graphemes, dtype=np.intp)
-    table[np.arange(width) < lengths[:, None]] = np.fromiter(
-        chain.from_iterable(words), dtype=np.intp, count=int(lengths.sum())
-    )
-    bits = np.left_shift(np.uint64(1), (table & 63).astype(np.uint64))
-    masks = np.bitwise_or.reduce(
-        np.where(table < n_graphemes, bits, np.uint64(0)), axis=1
-    )
+    width = table.shape[1]
     indel = alphabet.indel_cost
     # No alignment strays further than ``width`` from the main diagonal.
     half = min(bound // indel, width)
     la = lengths[a]
     lb = lengths[b]
-    todo = np.flatnonzero(
-        (np.abs(la - lb) <= half)
-        & (np.bitwise_count(masks[a] ^ masks[b]) <= 2 * bound)
-    )
+    todo = np.flatnonzero(within_lower_bounds(lengths, masks, a, b, bound, indel))
     todo = todo[np.argsort(la[todo])]
     # Word ids run down the columns, so a chunk's rows come out contiguous;
     # ``half`` padding rows above the second word cover diagonals left of j=1.

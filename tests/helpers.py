@@ -169,12 +169,13 @@ def brute_force_grid_counts(
     """Recount every windowed pair with plain nested loops.
 
     Returns {(line_offset, pos_offset): (pair_count, match_count)} using the
-    naive recursive distance for the match test. Only sensible for small
-    corpora.
+    naive recursive distance for the match test, computed once per pair of
+    words (it is symmetric). Only sensible for small corpora.
     """
     lines = [[tok.graphemes or alphabet.segment(tok.raw) for tok in line.tokens]
              for line in corpus.lines]
     counts: dict[tuple[int, int], list[int]] = {}
+    distances: dict[tuple, int] = {}
     for i in range(max_line_offset + 1):
         for j in range(-max_pos_offset, max_pos_offset + 1):
             if i == 0 and j >= 0:
@@ -198,7 +199,10 @@ def brute_force_grid_counts(
                         continue
                     cell = counts[(i, j)]
                     cell[0] += 1
-                    if naive_distance(word, other[p], alphabet) == target_distance:
+                    pair = (word, other[p]) if word <= other[p] else (other[p], word)
+                    if pair not in distances:
+                        distances[pair] = naive_distance(*pair, alphabet)
+                    if distances[pair] == target_distance:
                         cell[1] += 1
     return {k: (v[0], v[1]) for k, v in counts.items()}
 

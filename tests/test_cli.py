@@ -36,16 +36,20 @@ def test_no_arguments_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_unknown_flag_is_usage_error(toy_input):
+def test_unknown_flag_is_usage_error(toy_input, capsys):
     for subcommand, *flags in (
         ("grid", "--no-such-flag"),
         ("grid", "--threads", "2"),
         ("validate", "--threads", "2"),
         ("network", "--strategy", "buckets"),
+        # a flag that cannot apply to the input kind
+        ("parse", "--kind", "plaintext", "--units", "P"),
     ):
         with pytest.raises(SystemExit) as exc:
             main([subcommand, "--input", str(toy_input), *flags])
         assert exc.value.code == 2, flags
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1, err
 
 
 def test_out_of_range_values_are_usage_errors(toy_input, capsys):

@@ -169,6 +169,74 @@ def test_conservation_against_brute_force(seed):
     assert _counts(grid) == recount
 
 
+# Alphabets whose costs, similarity groups and size the unit-cost cases above
+# never reach, with the graphemes their words are drawn from. The 70-grapheme
+# inventory folds ids mod 64 in the bitmask bound, so its words mix the
+# graphemes whose bits collide (ids 0-3 share bits with ids 64-67).
+WIDE = Alphabet.single_characters(chr(0x4E00 + k) for k in range(70))
+PREFILTER_ALPHABETS = {
+    "indel2_groups": (
+        Alphabet(graphemes=tuple("abcdefg"),
+                 similarity_groups=(frozenset("abc"), frozenset("de")),
+                 similar_substitution_cost=1, dissimilar_substitution_cost=2,
+                 indel_cost=2),
+        "abcdefg",
+    ),
+    "groups": (
+        Alphabet.single_characters("abcdef", similarity_groups=["ab", "cde"],
+                                   dissimilar_substitution_cost=2),
+        "abcdef",
+    ),
+    "wide_inventory": (WIDE, WIDE.graphemes[:4] + WIDE.graphemes[64:]),
+}
+
+
+def _near_vocabulary(rng, alphabet, graphemes, bases=3, variants=3, max_len=6):
+    """Words of up to ``max_len`` graphemes: bases and variants of them one or
+    two random edits away, the first variant by one substitution. A
+    substitution picks a similar grapheme where there is one, so that every
+    distance up to 3 occurs."""
+    words = []
+    for _ in range(bases):
+        base = [rng.choice(graphemes) for _ in range(rng.randrange(2, max_len + 1))]
+        words.append(base)
+        for v in range(variants):
+            word = list(base)
+            for _ in range(1 + v % 2):
+                k = rng.randrange(len(word))
+                kind = rng.randrange(3) if v else 2
+                if kind == 0 and len(word) > 1:
+                    del word[k]
+                elif kind == 1 and len(word) < max_len:
+                    word.insert(k, rng.choice(graphemes))
+                else:
+                    similar = alphabet.similar_partners[word[k]]
+                    word[k] = rng.choice(similar or graphemes)
+            words.append(word)
+    return ["".join(word) for word in words]
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["all", "drop_edges"])
+@pytest.mark.parametrize("name", sorted(PREFILTER_ALPHABETS))
+def test_prefilter_conservation_against_brute_force(name, drop):
+    # the length and bitmask prefilters and the tally only within the largest
+    # distance must lose no pair, for every distance together and alone
+    alphabet, graphemes = PREFILTER_ALPHABETS[name]
+    rng = random.Random(name)
+    vocabulary = _near_vocabulary(rng, alphabet, graphemes)
+    lines = [[rng.choice(vocabulary) for _ in range(rng.randrange(1, 9))]
+             for _ in range(12)]
+    corpus = _corpus(lines, alphabet)
+    spec = GridSpec(alphabet=alphabet, max_line_offset=3, max_pos_offset=2,
+                    drop_line_edges=drop)
+    together = compute_grids(corpus, spec, (0, 1, 2, 3))
+    for d in (0, 1, 2, 3):
+        recount = brute_force_grid_counts(corpus, alphabet, 3, 2, d, drop)
+        assert _counts(together[d]) == recount, d
+        assert _counts(compute_grid(corpus, spec, d)) == recount, d
+        assert any(match for _, match in recount.values()), d
+
+
 def test_partition_consistency_multi_distance():
     rng = random.Random(11)
     alphabet = Alphabet.single_characters("abcd")

@@ -333,6 +333,20 @@ def _edited(rng, word, graphemes, edits, max_len):
     return tuple(word)
 
 
+@pytest.mark.parametrize("a,b", [
+    ("abc", "abc"), ("abc", "abcab"), ("cab", "ab"), ("", "ab"), ("", ""),
+    ("abcba", "abba"), ("aa", "aaa"),
+])
+def test_edit_distance_strips_common_affixes(a, b):
+    # stripping the shared prefix and suffix may leave either remainder empty
+    exact = naive_distance(a, b, PLAIN)
+    assert edit_distance(a, b, PLAIN) == exact
+    for bound in range(4):
+        assert edit_distance(a, b, PLAIN, bound=bound) == (
+            exact if exact <= bound else None
+        )
+
+
 def test_edit_distance_matches_oracle_on_long_words():
     # the exhaustive bound is wider than the longest word, so the band is
     # clamped to the words; the small bounds cut off inside them
