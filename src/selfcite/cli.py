@@ -22,6 +22,7 @@ from pathlib import Path
 
 import selfcite
 from selfcite.corpus import (
+    EmptyCorpusError,
     ParseError,
     filter_pages,
     format_transliteration,
@@ -43,6 +44,13 @@ from selfcite.posstats import positional_stats, rank_frequency
 from selfcite.profiles import Profile, load_profile, profile_from_corpus
 
 RNG_ALGORITHM = "python-random-mt19937"
+
+
+def _json(value, **options) -> str:
+    """``value`` as strict JSON, with each non-finite float (a rate with no
+    sample, an unbounded ratio) written as null."""
+    finite = json.loads(json.dumps(value), parse_constant=lambda _: None)
+    return json.dumps(finite, allow_nan=False, **options)
 
 
 def _sha256(path: Path) -> str:
@@ -133,7 +141,7 @@ def _write_output(
     manifest_path = out.with_name(out.name + ".manifest.json")
     _write_bytes(
         manifest_path,
-        (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"),
+        (_json(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"),
     )
 
 
@@ -191,7 +199,7 @@ def _cmd_stats(args) -> int:
         data = ("\n".join(lines) + "\n").encode("utf-8")
     else:
         data = (
-            "\n".join(json.dumps({"statistic": k, **v}) for k, v in fields.items())
+            "\n".join(_json({"statistic": k, **v}) for k, v in fields.items())
             + "\n"
         ).encode("utf-8")
     extra_outputs = []
@@ -284,7 +292,7 @@ def _cmd_validate(args) -> int:
     report = validate_signature(
         corpus, profile.alphabet, min_graphemes=args.min_graphemes
     )
-    data = (json.dumps(report.as_dict(), indent=2) + "\n").encode("utf-8")
+    data = (_json(report.as_dict(), indent=2) + "\n").encode("utf-8")
     _emit(args, data)
     return 0
 
@@ -292,7 +300,7 @@ def _cmd_validate(args) -> int:
 def _cmd_profile(args) -> int:
     profile = load_profile(args.profile)
     args.profile_digest = profile.digest
-    data = (json.dumps(profile.describe(), indent=2) + "\n").encode("utf-8")
+    data = (_json(profile.describe(), indent=2) + "\n").encode("utf-8")
     _emit(args, data)
     return 0
 
@@ -494,7 +502,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ParseError, SegmentationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        where = f"--input {args.input}: " if isinstance(exc, EmptyCorpusError) else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 1
 
 

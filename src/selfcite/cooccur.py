@@ -8,8 +8,12 @@ at or right of the writing position are excluded: only previously written
 words are compared.
 
 Counts are exact integers per cell; proportions are rational values formed
-at render time. Grids for several target distances are computed in a single
-pass, bounded by the largest distance:
+at render time. The corpus becomes one padded type-id matrix, in which
+padding and, with ``drop_line_edges``, each line's first and last word are
+blank (-1) cells, and one :func:`selfcite.editdist.word_arrays` table of its
+types serves both the prefilter and the distance kernel. Grids for several
+target distances are computed in a single pass, bounded by the largest
+distance:
 
 1. Each cell counts its pair instances, and those of a type with itself as
    distance-0 matches, before any sort.
@@ -96,30 +100,29 @@ class CooccurrenceGrid:
         return sum(values) / len(values)
 
 
-def _corpus_matrices(corpus: Corpus, alphabet: Alphabet):
-    """Pad the corpus into (type-id matrix, edge mask, id sequences)."""
+def _corpus_matrices(corpus: Corpus, spec: GridSpec):
+    """The type-id matrix of the corpus, with -1 in blank cells, and the
+    :func:`word_arrays` table of its types."""
     import numpy as np
 
     type_ids: dict[tuple[str, ...], int] = {}
     rows: list[list[int]] = []
     for line in corpus.lines:
-        rows.append([
+        row = [
             type_ids.setdefault(require_graphemes(token), len(type_ids))
             for token in line.tokens
-        ])
-    width = max(len(r) for r in rows)
-    height = len(rows)
-    matrix = np.full((height, width), -1, dtype=np.int64)
-    edges = np.zeros((height, width), dtype=bool)
+        ]
+        if spec.drop_line_edges and row:
+            row[0] = row[-1] = -1
+        rows.append(row)
+    matrix = np.full((len(rows), max(map(len, rows))), -1, dtype=np.int64)
     for n, row in enumerate(rows):
-        if row:
-            matrix[n, : len(row)] = row
-            edges[n, 0] = True
-            edges[n, len(row) - 1] = True
-    return matrix, edges, [alphabet.encode(graphemes) for graphemes in type_ids]
+        matrix[n, : len(row)] = row
+    words = [spec.alphabet.encode(graphemes) for graphemes in type_ids]
+    return matrix, word_arrays(words, spec.alphabet)
 
 
-def _cell_pairs(matrix, edges, i: int, j: int, drop_edges: bool):
+def _cell_pairs(matrix, i: int, j: int):
     """(target, candidate) type ids of one window cell's pair instances."""
     import numpy as np
 
@@ -130,11 +133,7 @@ def _cell_pairs(matrix, edges, i: int, j: int, drop_edges: bool):
     lo, hi = max(0, -j), width - max(0, j)
     target = matrix[i:, lo:hi]
     cand = matrix[: height - i, lo + j : hi + j]
-    target_edge = edges[i:, lo:hi]
-    cand_edge = edges[: height - i, lo + j : hi + j]
     valid = (target >= 0) & (cand >= 0)
-    if drop_edges:
-        valid &= ~target_edge & ~cand_edge
     return target[valid], cand[valid]
 
 
@@ -169,23 +168,22 @@ def compute_grids(
         raise ValueError("need at least one target distance")
     if min(distances) < 0:
         raise ValueError("target distances must be >= 0")
-    matrix, edges, seqs = _corpus_matrices(corpus, spec.alphabet)
-    n_types = max(len(seqs), 1)
+    matrix, words = _corpus_matrices(corpus, spec)
+    n_types = max(len(words[0]), 1)
     bound = max(distances)
-    _, lengths, masks = word_arrays(seqs, spec.alphabet)
     indel = spec.alphabet.indel_cost
     cells = list(spec.iter_cells())
     per_cell = []
     for i, j in cells:
-        a, b = _cell_pairs(matrix, edges, i, j, spec.drop_line_edges)
+        a, b = _cell_pairs(matrix, i, j)
         same = a == b
-        keep = ~same & within_lower_bounds(lengths, masks, a, b, bound, indel)
+        keep = ~same & within_lower_bounds(words, a, b, bound, indel)
         a, b = a[keep], b[keep]
         keys, counts = _distinct(np.minimum(a, b) * n_types + np.maximum(a, b))
         per_cell.append((len(same), int(same.sum()), keys, counts))
     all_keys, _ = _distinct(np.concatenate([keys for _, _, keys, _ in per_cell]))
     lo, hi = np.divmod(all_keys, n_types)
-    codes = bounded_distances(seqs, lo, hi, bound, spec.alphabet)
+    codes = bounded_distances(words, lo, hi, bound, spec.alphabet)
     near = codes <= bound
     # A sentinel above every key takes the keys beyond the bound.
     near_keys = np.append(all_keys[near], n_types * n_types)

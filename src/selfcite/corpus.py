@@ -41,6 +41,10 @@ class ParseError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
+class EmptyCorpusError(ValueError):
+    """No token is left to analyse."""
+
+
 @dataclass(frozen=True)
 class Locus:
     """Source position of a line: page, text unit, line number."""
@@ -186,8 +190,8 @@ def parse_transliteration(text: str, units: frozenset[str] | None = None) -> Cor
     ``units`` restricts ingestion to locus unit kinds (e.g. {"P"} keeps
     paragraph text and drops labels); None keeps every locus. Raises
     :class:`ParseError` for content lines without a well-formed locus tag
-    (or with line number 0), and ``ValueError("empty corpus")`` when
-    nothing remains. All occurrences of a word share one :class:`Token`.
+    (or with line number 0), and :class:`EmptyCorpusError` when nothing
+    remains. All occurrences of a word share one :class:`Token`.
     """
     by_raw: dict[str, Token] = {}
     records: list[LineRecord] = []
@@ -235,7 +239,7 @@ def parse_transliteration(text: str, units: frozenset[str] | None = None) -> Cor
         pending_break = ends_paragraph
 
     if not records:
-        raise ValueError("empty corpus")
+        raise EmptyCorpusError("empty corpus")
     return assemble_corpus(records)
 
 
@@ -272,7 +276,7 @@ def parse_plaintext(text: str) -> Corpus:
         locus = Locus(page="text", unit="L", line_no=line_no, raw_tag="")
         records.append((locus, tuple(tokens), para_id))
     if not records:
-        raise ValueError("empty corpus")
+        raise EmptyCorpusError("empty corpus")
     return assemble_corpus(records)
 
 
@@ -284,7 +288,7 @@ def normalize(corpus: Corpus, alphabet: Alphabet, min_graphemes: int = 2) -> Cor
     paragraph flags are rederived so each surviving paragraph still has an
     initial and a final line. Idempotent. Raises
     :class:`selfcite.editdist.SegmentationError` for words the alphabet
-    cannot segment.
+    cannot segment, and :class:`EmptyCorpusError` when no token is left.
     """
     # raw word -> its segmented token, or None when it is too short to keep
     by_raw: dict[str, Token | None] = {}
@@ -306,7 +310,9 @@ def normalize(corpus: Corpus, alphabet: Alphabet, min_graphemes: int = 2) -> Cor
         if tokens:
             kept.append((line.locus, tuple(tokens), line.paragraph_id))
     if not kept:
-        raise ValueError("empty corpus")
+        raise EmptyCorpusError(
+            f"empty corpus: no token has at least {min_graphemes} graphemes"
+        )
     return assemble_corpus(kept)
 
 

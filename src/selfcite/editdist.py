@@ -14,8 +14,10 @@ rejected, which keeps the per-symbol costs a metric and the sequence
 distance well behaved.
 
 One kernel computes the distance: :func:`bounded_distances`, a banded DP in
-numpy over a whole batch of word pairs. The co-occurrence grids pass it every
-distinct window pair at once; :func:`edit_distance` passes it a batch of one.
+numpy over a whole batch of word pairs. It reads the words from a
+:func:`word_arrays` table, which the co-occurrence grids build once for their
+prefilter and for every distinct window pair of this batch;
+:func:`edit_distance` passes it a batch of one.
 Its reference is the scalar banded DP ``oracle_bounded_distance`` in
 ``tests/helpers.py``.
 """
@@ -97,28 +99,13 @@ class Alphabet:
             )
 
     @classmethod
-    def single_characters(
-        cls,
-        chars: Iterable[str],
-        *,
-        similarity_groups: Iterable[Iterable[str]] = (),
-        similar_substitution_cost: int = 1,
-        dissimilar_substitution_cost: int = 1,
-        indel_cost: int = 1,
-    ) -> "Alphabet":
-        """Alphabet of single characters, by default with unit costs.
+    def single_characters(cls, chars: Iterable[str]) -> "Alphabet":
+        """Alphabet of single characters with unit costs.
 
         This is the profile used for plain-language comparison corpora,
         where one changed letter counts as one edit.
         """
-        inventory = sorted({c for c in chars})
-        return cls(
-            graphemes=tuple(inventory),
-            similarity_groups=tuple(frozenset(g) for g in similarity_groups),
-            similar_substitution_cost=similar_substitution_cost,
-            dissimilar_substitution_cost=dissimilar_substitution_cost,
-            indel_cost=indel_cost,
-        )
+        return cls(graphemes=tuple(sorted(set(chars))), dissimilar_substitution_cost=1)
 
     # -- derived lookup structures (cached, not part of equality) --
 
@@ -160,12 +147,6 @@ class Alphabet:
     def __contains__(self, grapheme: str) -> bool:
         return grapheme in self._ids
 
-    def grapheme_id(self, grapheme: str) -> int:
-        try:
-            return self._ids[grapheme]
-        except KeyError:
-            raise ValueError(f"unknown grapheme {grapheme!r}") from None
-
     def encode(self, graphemes: Sequence[str]) -> tuple[int, ...]:
         """Map a grapheme sequence to inventory ids, validating membership."""
         ids = self._ids
@@ -198,12 +179,8 @@ class Alphabet:
 
 def are_similar(a: str, b: str, alphabet: Alphabet) -> bool:
     """True iff the graphemes are equal or share a similarity group."""
-    ia = alphabet.grapheme_id(a)
-    ib = alphabet.grapheme_id(b)
-    if ia == ib:
-        return True
-    pair = (ia, ib) if ia < ib else (ib, ia)
-    return pair in alphabet.similar_id_pairs
+    ia, ib = alphabet.encode((a, b))
+    return ia == ib or (min(ia, ib), max(ia, ib)) in alphabet.similar_id_pairs
 
 
 def bounded_distance_ids(
@@ -221,7 +198,8 @@ def bounded_distance_ids(
     end = _common_prefix(a[::-1], b[::-1])
     a, b = a[: len(a) - end], b[: len(b) - end]
     first, second = np.arange(2).reshape(2, 1)
-    value = int(bounded_distances((a, b), first, second, bound, alphabet)[0])
+    words = word_arrays((a, b), alphabet)
+    value = int(bounded_distances(words, first, second, bound, alphabet)[0])
     return value if value <= bound else None
 
 
@@ -249,9 +227,10 @@ def word_arrays(words: Sequence[tuple[int, ...]], alphabet: Alphabet):
     return table, lengths, masks
 
 
-def within_lower_bounds(lengths, masks, a, b, bound: int, indel: int) -> np.ndarray:
-    """False where the length or the grapheme-mask lower bound, over the arrays
-    of :func:`word_arrays`, puts words ``a[p]`` and ``b[p]`` beyond ``bound``.
+def within_lower_bounds(words, a, b, bound: int, indel: int) -> np.ndarray:
+    """False where the length or the grapheme-mask lower bound puts words
+    ``a[p]`` and ``b[p]`` of the :func:`word_arrays` table ``words`` beyond
+    ``bound``.
 
     Each grapheme of length difference costs an indel, and a grapheme present
     in one word only costs at least half an edit, so ``popcount(xor)`` of the
@@ -259,6 +238,7 @@ def within_lower_bounds(lengths, masks, a, b, bound: int, indel: int) -> np.ndar
     """
     import numpy as np
 
+    _, lengths, masks = words
     return (np.abs(lengths[a] - lengths[b]) * indel <= bound) & (
         np.bitwise_count(masks[a] ^ masks[b]) <= 2 * bound
     )
@@ -270,7 +250,7 @@ _CHUNK = 8192
 
 
 def bounded_distances(
-    words: Sequence[tuple[int, ...]],
+    words: tuple[np.ndarray, np.ndarray, np.ndarray],
     a: np.ndarray,
     b: np.ndarray,
     bound: int,
@@ -278,7 +258,8 @@ def bounded_distances(
 ) -> np.ndarray:
     """Weighted distances of many word pairs, exact up to ``bound``.
 
-    Pair ``p`` is ``(words[a[p]], words[b[p]])``, where ``words`` holds id
+    Pair ``p`` is words ``a[p]`` and ``b[p]`` of ``words``, the
+    ``(table, lengths, masks)`` that :func:`word_arrays` builds from id
     sequences as returned by :meth:`Alphabet.encode`. The result holds each
     pair's distance when it is at most ``bound`` and ``bound + 1`` otherwise,
     in the smallest unsigned dtype that fits ``bound + 1``.
@@ -294,9 +275,7 @@ def bounded_distances(
 
     inf = bound + 1
     out = np.full(len(a), inf, dtype=np.min_scalar_type(inf))
-    if not len(a):
-        return out
-    table, lengths, masks = word_arrays(words, alphabet)
+    table, lengths, _ = words
     n_graphemes = len(alphabet.graphemes)
     width = table.shape[1]
     indel = alphabet.indel_cost
@@ -304,12 +283,12 @@ def bounded_distances(
     half = min(bound // indel, width)
     la = lengths[a]
     lb = lengths[b]
-    todo = np.flatnonzero(within_lower_bounds(lengths, masks, a, b, bound, indel))
+    todo = np.flatnonzero(within_lower_bounds(words, a, b, bound, indel))
     todo = todo[np.argsort(la[todo])]
     # Word ids run down the columns, so a chunk's rows come out contiguous;
     # ``half`` padding rows above the second word cover diagonals left of j=1.
     a_rows = table.T * (n_graphemes + 1)
-    b_rows = np.full((width + 2 * half, len(words)), n_graphemes, dtype=np.intp)
+    b_rows = np.full((width + 2 * half, len(table)), n_graphemes, dtype=np.intp)
     b_rows[half : half + width] = table.T
     costs = _substitution_costs(alphabet, inf)
     ends = np.cumsum(np.bincount(la[todo]))

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from selfcite.corpus import Corpus, decode_text, read_bytes, require_int, require_strings
+from selfcite.corpus import Corpus, EmptyCorpusError, decode_text, read_bytes
+from selfcite.corpus import require_int, require_strings
 from selfcite.editdist import Alphabet
 
 BUILTIN_PROFILES = ("vms",)
@@ -115,7 +116,7 @@ def profile_from_corpus(corpus: Corpus) -> Profile:
     """Single-character profile over the characters observed in a corpus."""
     chars = sorted({c for tok in corpus.iter_tokens() for c in tok.raw})
     if not chars:
-        raise ValueError("empty corpus")
+        raise EmptyCorpusError("empty corpus")
     alphabet = Alphabet.single_characters(chars)
     digest = hashlib.sha256(("chars:" + "".join(chars)).encode()).hexdigest()
     return Profile(

@@ -22,7 +22,7 @@ import re
 from dataclasses import replace
 
 from selfcite.corpus import Corpus, Locus, ParseError, Token, assemble_corpus
-from selfcite.editdist import Alphabet, are_similar, bounded_distances
+from selfcite.editdist import Alphabet, are_similar, bounded_distances, word_arrays
 from selfcite.generator import SOURCE_BIAS_KERNELS
 
 
@@ -149,7 +149,7 @@ def batch_distances(pairs, alphabet: Alphabet, bound: int | None = None):
         longest = max((len(x) + len(y) for x, y in pairs), default=0)
         bound = longest * alphabet.indel_cost
     codes = bounded_distances(
-        [alphabet.encode(seq) for seq in ids],
+        word_arrays([alphabet.encode(seq) for seq in ids], alphabet),
         np.array(a, dtype=np.intp),
         np.array(b, dtype=np.intp),
         bound,

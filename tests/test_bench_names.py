@@ -1,0 +1,59 @@
+"""The traced benchmark looks names up in the package: keep them resolvable.
+
+``bench/spans.py`` wraps functions by (module, attribute) and
+``bench/props.py`` calls the public API directly. A rename that breaks
+either shows up here instead of in a failed ``bench/run.py --trace 1``.
+The files under ``bench/`` are only read.
+"""
+
+import ast
+import importlib
+import inspect
+import json
+import types
+from pathlib import Path
+
+from selfcite.network import TypeTable
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+
+
+def _load(name: str) -> types.ModuleType:
+    """Run ``bench/NAME.py`` as a module, without writing a bytecode cache."""
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), path, "exec"), module.__dict__)
+    return module
+
+
+def test_traced_names_resolve():
+    spans = _load("spans")
+    for module_name, attr, _ in spans.SPANS + spans.LEAVES:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), (
+            module_name, attr,
+        )
+    # install() rewraps the classmethod through its underlying function
+    assert callable(TypeTable.from_corpus.__func__)
+    # every gated per-layer span metric names a span the tracer can report
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    for metric in declared:
+        span, _, field = metric["name"].rpartition(".")
+        if field in ("self_s", "calls"):
+            assert span in spans.SPAN_NAMES, metric["name"]
+
+
+def test_props_calls_bind():
+    props = _load("props")
+    tree = ast.parse((BENCH / "props.py").read_text(encoding="utf-8"))
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "from_corpus"
+    ]
+    assert calls
+    signature = inspect.signature(props.TypeTable.from_corpus)
+    for call in calls:
+        signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})

@@ -1,4 +1,5 @@
 import errno
+import itertools
 import json
 import os
 import subprocess
@@ -85,6 +86,24 @@ def test_malformed_corpus_names_line(tmp_path, capsys):
         assert code == 1
         err = capsys.readouterr().err
         assert "line 2" in err and named in err, err
+
+
+@pytest.mark.parametrize("text, argv, cutoff", [
+    ("# only a comment\n", ["parse"], False),
+    ("... !!! ,,,\n-- ;\n", ["parse", "--kind", "plaintext"], False),
+    ("<f1r.P.1> a.o.y\n", ["stats"], True),
+    ("<f1r.P.1> a.o.y\n", ["grid"], True),
+    ("<f1r.P.1> a.o.y\n", ["validate"], True),
+], ids=["comment_only", "punctuation_only", "stats_cutoff", "grid_cutoff",
+        "validate_cutoff"])
+def test_empty_corpus_names_the_input(text, argv, cutoff, tmp_path, capsys):
+    path = tmp_path / "corpus.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(argv + ["--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.rstrip("\n")], err
+    assert err.startswith(f"error: --input {path}: empty corpus"), err
+    assert ("no token has at least 2 graphemes" in err) == cutoff, err
 
 
 def test_input_encoding(tmp_path, capsys):
@@ -194,6 +213,53 @@ def test_stats_json_lines(toy_input, capsys):
     assert "paragraph_initial_gallows_rate" in names
     assert "line_final_rate[m]" in names
     assert all("total" in entry for entry in lines)
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"not valid JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_stats_without_sample_writes_null(tmp_path, capsys):
+    one_line = tmp_path / "one.evt"
+    one_line.write_text("<f1r.P.1> daiin.ol\n", encoding="utf-8")
+    assert main(["stats", "--input", str(one_line)]) == 0
+    lines = [_strict_json(l) for l in capsys.readouterr().out.splitlines()]
+    by_name = {entry["statistic"]: entry for entry in lines}
+    assert by_name["internal_subgroup_rate"] == {
+        "statistic": "internal_subgroup_rate", "value": None, "hits": 0, "total": 0,
+    }
+    assert main(["stats", "--input", str(one_line), "--format", "markdown"]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[:2] == ["| statistic | value | sample |", "|---|---|---|"]
+    assert "| internal_subgroup_rate | n/a | 0 |" in table
+    assert "| mean_token_length_overall | 3.5000 | 2 |" in table
+
+
+def _unique_words(count: int) -> list[str]:
+    letters = "dainolrsyekt"
+    return ["".join(w) for w in itertools.islice(
+        itertools.product(letters, repeat=3), count)]
+
+
+@pytest.mark.parametrize("lines", [
+    # every line repeats its own words: the deepest row never matches
+    [f"{w}.{w}" for w in _unique_words(1000)],
+    # five long lines: the deepest row has no pair at all
+    [".".join(_unique_words(420)) for _ in range(5)],
+], ids=["infinite_lift", "undefined_lift"])
+def test_validate_writes_strict_json(lines, tmp_path):
+    corpus = tmp_path / "corpus.evt"
+    corpus.write_text(
+        "".join(f"<f1r.P.{n}> {line}\n" for n, line in enumerate(lines, 1)),
+        encoding="utf-8",
+    )
+    out = tmp_path / "report.json"
+    assert main(["validate", "--input", str(corpus), "--out", str(out)]) == 0
+    report = _strict_json(out.read_text())
+    assert report["adjacency_lift"] is None
+    _strict_json((tmp_path / "report.json.manifest.json").read_text())
 
 
 def test_stats_rank_frequency_output(toy_input, tmp_path):
@@ -389,6 +455,61 @@ def test_rerun_reproduces_byte_identical(toy_input, tmp_path, capsys):
     ]) == 0
     assert (rerun_dir / "grid.csv").read_bytes() == out.read_bytes()
     assert "OK" in capsys.readouterr().out
+
+
+def test_plaintext_with_chars_profile(tmp_path):
+    prose = tmp_path / "prose.txt"
+    prose.write_text(
+        "The cat sat on the mat.\nThe bat sat on the hat!\n\n"
+        "A rat ate the cat's oat; the cat sat.\nThe mat was flat.\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "grid.csv"
+    assert main([
+        "grid", "--input", str(prose), "--kind", "plaintext", "--profile",
+        "chars", "--min-graphemes", "1", "--rows", "2", "--out", str(out),
+    ]) == 0
+    # the derived profile's own window: five positions each side
+    assert out.read_text().splitlines()[0] == ",m-5,m-4,m-3,m-2,m-1,m,m+1,m+2,m+3,m+4,m+5"
+    manifest = json.loads((tmp_path / "grid.csv.manifest.json").read_text())
+    assert [e["path"] for e in manifest["inputs"]] == [str(prose)]
+    assert manifest["params"]["kind"] == "plaintext"
+
+
+CUSTOM_PROFILE = {
+    "graphemes": ["ch", "a", "d", "e", "h", "i", "k", "l", "n", "o", "p", "r",
+                  "t", "y"],
+    "similarity_groups": [["a", "o"]],
+    "similar_substitution_cost": 1,
+    "dissimilar_substitution_cost": 2,
+    "indel_cost": 1,
+    "gallows": ["k", "p", "t"],
+    "prefixes": ["y", "o", "d"],
+    "line_final_glyphs": ["n"],
+    "grid_pos_offset": 3,
+}
+
+
+def test_rerun_checks_a_custom_profile(toy_input, tmp_path, capsys):
+    profile = tmp_path / "custom.json"
+    profile.write_text(json.dumps(CUSTOM_PROFILE), encoding="utf-8")
+    out = tmp_path / "grid.csv"
+    assert main([
+        "grid", "--input", str(toy_input), "--profile", str(profile),
+        "--distance", "1", "--rows", "3", "--out", str(out),
+    ]) == 0
+    assert out.read_text().splitlines()[0] == ",m-3,m-2,m-1,m,m+1,m+2,m+3"
+    manifest_path = tmp_path / "grid.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert [e["path"] for e in manifest["inputs"]] == [str(toy_input), str(profile)]
+    rerun = ["rerun", str(manifest_path), "--out-dir", str(tmp_path / "rerun")]
+    assert main(rerun) == 0
+    assert (tmp_path / "rerun" / "grid.csv").read_bytes() == out.read_bytes()
+    capsys.readouterr()
+    profile.write_text(json.dumps({**CUSTOM_PROFILE, "grid_pos_offset": 2}),
+                       encoding="utf-8")
+    assert main(rerun) == 1
+    assert f"manifest input changed: {profile}" in capsys.readouterr().err
 
 
 def test_rerun_detects_changed_input(toy_input, tmp_path, capsys):

@@ -183,8 +183,9 @@ PREFILTER_ALPHABETS = {
         "abcdefg",
     ),
     "groups": (
-        Alphabet.single_characters("abcdef", similarity_groups=["ab", "cde"],
-                                   dissimilar_substitution_cost=2),
+        Alphabet(graphemes=tuple("abcdef"),
+                 similarity_groups=(frozenset("ab"), frozenset("cde")),
+                 dissimilar_substitution_cost=2),
         "abcdef",
     ),
     "wide_inventory": (WIDE, WIDE.graphemes[:4] + WIDE.graphemes[64:]),

@@ -79,14 +79,14 @@ COST_ALPHABETS = {
     # every edit costs 1, as under the ``chars`` profile: all swaps count
     "unit": Alphabet.single_characters("aboy"),
     # indels cost 2, so only the similar swap is one edit
-    "indel2": Alphabet.single_characters(
-        "aboy", similarity_groups=[{"a", "o"}],
+    "indel2": Alphabet(
+        graphemes=tuple("aboy"), similarity_groups=(frozenset("ao"),),
         dissimilar_substitution_cost=3, indel_cost=2,
     ),
     # every edit costs 2: no distance-1 pair exists
-    "no_unit_edit": Alphabet.single_characters(
-        "aboy", similar_substitution_cost=2, dissimilar_substitution_cost=2,
-        indel_cost=2,
+    "no_unit_edit": Alphabet(
+        graphemes=tuple("aboy"), similar_substitution_cost=2,
+        dissimilar_substitution_cost=2, indel_cost=2,
     ),
 }
 
@@ -108,8 +108,9 @@ def test_strategies_agree_on_larger_table():
     words = set()
     while len(words) < 400:
         words.add("".join(rng.choice("aboy") for _ in range(rng.randrange(2, 6))))
-    alphabet = Alphabet.single_characters(
-        "aboy", similarity_groups=[{"a", "o"}], dissimilar_substitution_cost=2
+    alphabet = Alphabet(
+        graphemes=tuple("aboy"), similarity_groups=(frozenset("ao"),),
+        dissimilar_substitution_cost=2,
     )
     table = TypeTable(
         {w: TypeInfo(rng.randrange(4, 20), alphabet.segment(w)) for w in words}
@@ -208,6 +209,26 @@ def test_frequency_ratio_report_orientation():
     row = rows[0]
     assert (row.type_a, row.type_b) == ("chedy", "shedy")
     assert (row.grapheme_a, row.grapheme_b) == ("ch", "sh")
+    assert row.count_ratio == pytest.approx(0.5)
+    assert row.grapheme_count_ratio == pytest.approx(0.5)
+
+
+def test_frequency_ratio_report_puts_the_more_frequent_type_first():
+    # the later type of the sorted edge is the more frequent one, so the row
+    # swaps the types, their counts and the substituted graphemes
+    alphabet = Alphabet(
+        graphemes=("ch", "sh", "e", "d", "y"),
+        similarity_groups=(frozenset({"ch", "sh"}),),
+    )
+    text = "<f1r.P.1> " + ".".join(["chedy"] * 4 + ["shedy"] * 8)
+    corpus = normalize(parse_transliteration(text), alphabet)
+    table = TypeTable.from_corpus(corpus)
+    rows = frequency_ratio_report(table, build_graph(table, alphabet, 4), alphabet)
+    assert len(rows) == 1
+    row = rows[0]
+    assert (row.type_a, row.type_b) == ("shedy", "chedy")
+    assert (row.grapheme_a, row.grapheme_b) == ("sh", "ch")
+    assert (row.count_a, row.count_b) == (8, 4)
     assert row.count_ratio == pytest.approx(0.5)
     assert row.grapheme_count_ratio == pytest.approx(0.5)
 
