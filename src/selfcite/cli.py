@@ -24,6 +24,7 @@ import selfcite
 from selfcite.corpus import (
     EmptyCorpusError,
     ParseError,
+    csv_bytes,
     filter_pages,
     format_transliteration,
     normalize,
@@ -101,7 +102,10 @@ def _load_corpus(args) -> tuple[object, Profile]:
         profile = load_profile(args.profile)
     args.profile_digest = profile.digest
     if args.pages:
-        corpus = filter_pages(corpus, _load_pageset(args.pages))
+        try:
+            corpus = filter_pages(corpus, _load_pageset(args.pages))
+        except EmptyCorpusError:  # main() adds the --input path
+            raise EmptyCorpusError(f"no lines match --pages {args.pages}") from None
     return corpus, profile
 
 
@@ -204,11 +208,9 @@ def _cmd_stats(args) -> int:
         ).encode("utf-8")
     extra_outputs = []
     if args.rank_frequency_out:
-        ranks = rank_frequency(corpus)
         _write_bytes(
             Path(args.rank_frequency_out),
-            ("rank,type,count\n" + "".join(f"{r},{w},{c}\n" for r, w, c in ranks))
-            .encode("utf-8"),
+            csv_bytes([("rank", "type", "count"), *rank_frequency(corpus)]),
         )
         extra_outputs.append(args.rank_frequency_out)
     _emit(args, data, extra_outputs=extra_outputs)
@@ -240,11 +242,11 @@ def _cmd_network(args) -> int:
     corpus = normalize(corpus, profile.alphabet, args.min_graphemes)
     table = TypeTable.from_corpus(corpus, profile.alphabet)
     graph = build_graph(table, profile.alphabet, args.min_freq)
-    rows = ["type_a,type_b,operation"]
-    for a, b in sorted(graph.edges()):
-        op = edge_operation(table.entries[a].graphemes, table.entries[b].graphemes)
-        rows.append(f"{a},{b},{op}")
-    _emit(args, ("\n".join(rows) + "\n").encode("utf-8"))
+    rows = [
+        (a, b, edge_operation(table.entries[a].graphemes, table.entries[b].graphemes))
+        for a, b in sorted(graph.edges())
+    ]
+    _emit(args, csv_bytes([("type_a", "type_b", "operation"), *rows]))
     return 0
 
 
@@ -349,7 +351,10 @@ def _cmd_rerun(args) -> int:
             raise ValueError(f"manifest input changed: {path}")
         argv = [str(path) if token == entry["path"] else token for token in argv]
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create --out-dir {out_dir}: {exc.strerror}") from None
     replaced = []
     for expected in manifest["outputs"]:
         original = expected["path"]

@@ -8,10 +8,12 @@ at or right of the writing position are excluded: only previously written
 words are compared.
 
 Counts are exact integers per cell; proportions are rational values formed
-at render time. The corpus becomes one padded type-id matrix, in which
-padding and, with ``drop_line_edges``, each line's first and last word are
-blank (-1) cells, and one :func:`selfcite.editdist.word_arrays` table of its
-types serves both the prefilter and the distance kernel. Grids for several
+at render time. Word types are not counted here: the ids and words come
+from the corpus's type table, :attr:`selfcite.corpus.Corpus.types`. The
+corpus becomes one padded type-id matrix, in which padding and, with
+``drop_line_edges``, each line's first and last word are blank (-1) cells,
+and one :func:`selfcite.editdist.word_arrays` table of its types serves
+both the prefilter and the distance kernel. Grids for several
 target distances are computed in a single pass, bounded by the largest
 distance:
 
@@ -32,12 +34,10 @@ numpy is imported inside the functions that use it, so importing this module
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from selfcite.corpus import Corpus, require_graphemes
+from selfcite.corpus import Corpus, csv_bytes
 from selfcite.editdist import Alphabet, bounded_distances, within_lower_bounds, word_arrays
 # Re-exported: bench/spans.py wraps this name here, and its traced run fails
 # without it. cooccur never calls it, so the traced
@@ -102,23 +102,20 @@ class CooccurrenceGrid:
 
 def _corpus_matrices(corpus: Corpus, spec: GridSpec):
     """The type-id matrix of the corpus, with -1 in blank cells, and the
-    :func:`word_arrays` table of its types."""
+    :func:`word_arrays` table of its types. Ids and words come from the
+    corpus's type table: a type's id is its position there."""
     import numpy as np
 
-    type_ids: dict[tuple[str, ...], int] = {}
-    rows: list[list[int]] = []
-    for line in corpus.lines:
-        row = [
-            type_ids.setdefault(require_graphemes(token), len(type_ids))
-            for token in line.tokens
-        ]
-        if spec.drop_line_edges and row:
-            row[0] = row[-1] = -1
-        rows.append(row)
-    matrix = np.full((len(rows), max(map(len, rows))), -1, dtype=np.int64)
-    for n, row in enumerate(rows):
-        matrix[n, : len(row)] = row
-    words = [spec.alphabet.encode(graphemes) for graphemes in type_ids]
+    table = corpus.types
+    words = [spec.alphabet.encode(graphemes) for graphemes in table.segmentations()]
+    type_id = dict(zip(table.entries, range(len(words))))
+    lengths = np.array([len(line.tokens) for line in corpus.lines])
+    ids = [type_id[token.raw] for line in corpus.lines for token in line.tokens]
+    matrix = np.full((len(lengths), lengths.max()), -1, dtype=np.int64)
+    matrix[np.arange(matrix.shape[1]) < lengths[:, None]] = ids
+    if spec.drop_line_edges:
+        rows = np.flatnonzero(lengths)
+        matrix[rows, 0] = matrix[rows, lengths[rows] - 1] = -1
     return matrix, word_arrays(words, spec.alphabet)
 
 
@@ -193,7 +190,7 @@ def compute_grids(
         at = np.searchsorted(near_keys, keys)
         at[near_keys[at] != keys] = -1
         tally = np.bincount(near_codes[at], weights=counts, minlength=bound + 2)
-        tally[0] = same_count
+        tally[0] += same_count  # plus any two raw words with equal graphemes
         for d in distances:
             grids[d][cell] = GridCell(pair_count, int(tally[d]))
     return {d: CooccurrenceGrid(spec, grids[d]) for d in distances}
@@ -204,20 +201,16 @@ def compute_grid(corpus: Corpus, spec: GridSpec, distance: int = 0) -> Cooccurre
     return compute_grids(corpus, spec, [distance])[distance]
 
 
-def summarize_decay(grid: CooccurrenceGrid) -> dict[int, float]:
-    """Mean proportion per line-offset row, excluding row 0.
-
-    Input must have data in at least four rows; the result supports the
-    check that proportions fall off with line distance.
-    """
-    means = {}
-    for i in range(1, grid.spec.max_line_offset + 1):
-        mean = grid.row_mean(i)
-        if mean is not None:
-            means[i] = mean
-    if len(means) < 4:
-        raise ValueError("grid needs data in at least 4 rows to summarize decay")
-    return means
+def summarize_decay(grid: CooccurrenceGrid) -> tuple[dict[int, float], bool]:
+    """Mean proportion of each line-offset row with data, row 0 excluded, and
+    whether rows n-1..n-3 average above rows n-7..n-9 (False when either
+    group has no data)."""
+    rows = range(1, grid.spec.max_line_offset + 1)
+    means = {i: mean for i in rows if (mean := grid.row_mean(i)) is not None}
+    near = [means[i] for i in (1, 2, 3) if i in means]
+    far = [means[i] for i in (7, 8, 9) if i in means]
+    decays = bool(near and far) and sum(near) / len(near) > sum(far) / len(far)
+    return means, decays
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +224,8 @@ def format_percent(match_count: int, pair_count: int) -> str:
 
 
 def _column_labels(spec: GridSpec) -> list[str]:
-    labels = []
-    for j in range(-spec.max_pos_offset, spec.max_pos_offset + 1):
-        labels.append("m" if j == 0 else f"m{j:+d}")
-    return labels
+    offsets = range(-spec.max_pos_offset, spec.max_pos_offset + 1)
+    return ["m" if j == 0 else f"m{j:+d}" for j in offsets]
 
 
 def _row_label(i: int) -> str:
@@ -260,14 +251,6 @@ def _table_rows(grid: CooccurrenceGrid) -> list[list[str]]:
                 )
         rows.append(row)
     return rows
-
-
-def _render_csv(grid: CooccurrenceGrid) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + _column_labels(grid.spec))
-    writer.writerows(_table_rows(grid))
-    return buf.getvalue().encode("utf-8")
 
 
 def _render_markdown(grid: CooccurrenceGrid) -> bytes:
@@ -345,7 +328,7 @@ def render_grid(grid: CooccurrenceGrid, format: str) -> bytes:
     byte-identical bytes.
     """
     if format == "csv":
-        return _render_csv(grid)
+        return csv_bytes([[""] + _column_labels(grid.spec), *_table_rows(grid)])
     if format == "markdown":
         return _render_markdown(grid)
     if format == "svg":

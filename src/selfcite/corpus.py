@@ -5,6 +5,13 @@ text-unit, line number) and tokens. Line order is source order, and after
 any filtering the remaining lines are treated as adjacent, so the first
 line of a page follows the last retained line of the previous page.
 
+Word types are counted here and nowhere else: :attr:`Corpus.types` is the
+corpus's :class:`TypeTable`, counted in one pass the first time it is read.
+It lists each distinct raw word in order of first occurrence, with its
+count and the graphemes of its first occurrence, and a type's id is its
+position in the table. The grid's type-id matrix, the network, the
+rank-frequency list and the character profile all read it.
+
 Transliteration format (documented subset)
 ------------------------------------------
 Each content line is ``<page.unit.line[;transcriber]> glyphtext`` where
@@ -23,12 +30,17 @@ the same way blank lines do.
 
 from __future__ import annotations
 
+import csv
+import io
 import re
 import string
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import takewhile
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from selfcite.editdist import Alphabet
 
@@ -63,13 +75,7 @@ class Locus:
     @property
     def unit_kind(self) -> str:
         """Leading alphabetic part of the unit: "P1" and "P" both map to "P"."""
-        head = ""
-        for c in self.unit:
-            if c.isalpha():
-                head += c
-            else:
-                break
-        return head or self.unit
+        return "".join(takewhile(str.isalpha, self.unit)) or self.unit
 
 
 @dataclass(frozen=True)
@@ -93,6 +99,56 @@ class Line:
     paragraph_id: int
 
 
+class TypeInfo(NamedTuple):
+    """One word type: its count and its graphemes (None until segmented); a
+    named tuple, since one is built per type and builds faster than a dataclass."""
+
+    count: int
+    graphemes: tuple[str, ...] | None
+
+
+@dataclass(frozen=True)
+class TypeTable:
+    """Distinct word types keyed on their raw word, in order of first
+    occurrence when read from a corpus."""
+
+    entries: dict[str, TypeInfo]
+
+    @classmethod
+    def from_corpus(cls, corpus: "Corpus", alphabet: Alphabet | None = None) -> "TypeTable":
+        """The corpus's own table, :attr:`Corpus.types`, or, when ``alphabet``
+        is given and some type is not segmented, a copy that it segments.
+        Raises as :meth:`segmentations` does if a type is left unsegmented."""
+        table = corpus.types
+        entries = table.entries
+        if alphabet is not None and not all(info.graphemes for info in entries.values()):
+            table = cls({
+                raw: TypeInfo(info.count, info.graphemes or alphabet.segment(raw))
+                for raw, info in entries.items()
+            })
+        table.segmentations()  # raises for a type left unsegmented
+        return table
+
+    def segmentations(self) -> list[tuple[str, ...]]:
+        """Each type's grapheme sequence, in table order; raises for a type
+        that is not segmented, since its corpus was never normalized."""
+        for raw, info in self.entries.items():
+            if info.graphemes is None:
+                raise ValueError(
+                    f"token {raw!r} has no grapheme segmentation; "
+                    "normalize the corpus first"
+                )
+        return [info.graphemes for info in self.entries.values()]
+
+    def grapheme_counts(self) -> Counter:
+        """Occurrences of each grapheme across all tokens."""
+        counts = Counter()
+        for info in self.entries.values():
+            for g in info.graphemes:
+                counts[g] += info.count
+        return counts
+
+
 @dataclass(frozen=True)
 class Corpus:
     lines: tuple[Line, ...]
@@ -103,6 +159,19 @@ class Corpus:
     def iter_tokens(self) -> Iterator[Token]:
         for line in self.lines:
             yield from line.tokens
+
+    @cached_property
+    def types(self) -> TypeTable:
+        """The corpus's word types, counted on first read (see the module
+        docstring). Occurrences of a word are matched on ``raw``, so equal
+        tokens need not be one object. Not a field: equality ignores it."""
+        found: dict[str, list] = {}  # raw word -> [count, first graphemes]
+        for token in self.iter_tokens():
+            if (seen := found.get(token.raw)) is None:
+                found[token.raw] = [1, token.graphemes]
+            else:
+                seen[0] += 1
+        return TypeTable({raw: TypeInfo(*seen) for raw, seen in found.items()})
 
 
 _LOCUS_RE = re.compile(
@@ -141,6 +210,14 @@ def read_text(path: str | Path) -> str:
     return decode_text(read_bytes(path), path)
 
 
+def csv_bytes(rows: Iterable[Iterable]) -> bytes:
+    """``rows`` as UTF-8 CSV with ``\n`` line ends, each field quoted only
+    when it must be (as when it holds a comma)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
 # Type checks for values read from parameter and profile files: each
 # ValueError names the field, so a wrongly typed value is a data error.
 
@@ -172,16 +249,6 @@ def assemble_corpus(records: list[LineRecord]) -> Corpus:
         final = idx == len(records) - 1 or records[idx + 1][2] != para_id
         lines.append(Line(locus, tokens, initial, final, para_id))
     return Corpus(tuple(lines))
-
-
-def require_graphemes(token: Token) -> tuple[str, ...]:
-    """The token's grapheme sequence; raises unless it was normalized."""
-    if token.graphemes is None:
-        raise ValueError(
-            f"token {token.raw!r} has no grapheme segmentation; "
-            "normalize the corpus first"
-        )
-    return token.graphemes
 
 
 def parse_transliteration(text: str, units: frozenset[str] | None = None) -> Corpus:
@@ -328,7 +395,7 @@ def filter_pages(corpus: Corpus, pages: Iterable[str]) -> Corpus:
     kept = [(line.locus, line.tokens, line.paragraph_id)
             for line in corpus.lines if line.locus.page in page_set]
     if not kept:
-        raise ValueError("no lines match")
+        raise EmptyCorpusError("no lines match")
     return assemble_corpus(kept)
 
 

@@ -24,7 +24,7 @@ from bisect import bisect
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from pathlib import Path
 
 from selfcite.corpus import (
@@ -38,7 +38,7 @@ from selfcite.corpus import (
     require_int,
     require_strings,
 )
-from selfcite.cooccur import GridSpec, compute_grids
+from selfcite.cooccur import GridSpec, compute_grids, summarize_decay
 from selfcite.editdist import Alphabet
 
 _PAGE_CAPACITY_LINES = 25
@@ -440,13 +440,11 @@ def shuffle_control(corpus: Corpus, rng_seed: int) -> Corpus:
         raise ValueError("empty corpus")
     tokens = list(corpus.iter_tokens())
     random.Random(rng_seed).shuffle(tokens)
-    out = []
-    cursor = 0
-    for line in corpus.lines:
-        n = len(line.tokens)
-        out.append(replace(line, tokens=tuple(tokens[cursor : cursor + n])))
-        cursor += n
-    return Corpus(tuple(out))
+    shuffled = iter(tokens)
+    return Corpus(tuple(
+        replace(line, tokens=tuple(islice(shuffled, len(line.tokens))))
+        for line in corpus.lines
+    ))
 
 
 @dataclass(frozen=True)
@@ -497,16 +495,8 @@ def validate_signature(
         )
     spec = GridSpec(alphabet=alphabet)
     grids = compute_grids(normalized, spec, (0, 1, 2))
-    row_means = {
-        d: {
-            i: mean
-            for i in range(1, spec.max_line_offset + 1)
-            if (mean := grid.row_mean(i)) is not None
-        }
-        for d, grid in grids.items()
-    }
-    adjacent = grids[0].proportion(0, -1)
-    adjacent = 0.0 if adjacent is None else adjacent
+    decays = {d: summarize_decay(grid) for d, grid in grids.items()}
+    adjacent = grids[0].proportion(0, -1) or 0.0
     deep = grids[0].row_mean(spec.max_line_offset)
     if deep is None:
         lift = float("nan")
@@ -514,17 +504,10 @@ def validate_signature(
         lift = float("inf") if adjacent > 0 else 0.0
     else:
         lift = adjacent / deep
-    decay = {}
-    for d, means in row_means.items():
-        near = [means[i] for i in (1, 2, 3) if i in means]
-        far = [means[i] for i in (7, 8, 9) if i in means]
-        decay[d] = bool(near and far) and (
-            sum(near) / len(near) > sum(far) / len(far)
-        )
     return SignatureReport(
         token_count=corpus.token_count(),
         adjacency_lift=lift,
-        row_decay=decay,
+        row_decay={d: decay for d, (_, decay) in decays.items()},
         natural_text_contrast=adjacent,
-        row_means=row_means,
+        row_means={d: means for d, (means, _) in decays.items()},
     )

@@ -13,54 +13,19 @@ evaluated. Only deletions and swaps are generated. An insertion into ``a``
 that gives the node ``b`` is the deletion from ``b`` that gives ``a``, so
 ``b``'s deletions find that edge, from far fewer variants than inserting
 every grapheme at every position would make.
+
+The nodes and their counts come from a :class:`TypeTable`, which is
+defined and counted in :mod:`selfcite.corpus` (``TypeTable.from_corpus``
+returns the corpus's own table) and re-exported here.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
-from selfcite.corpus import Corpus
+from selfcite.corpus import TypeInfo, TypeTable  # noqa: F401  (re-exported)
 from selfcite.editdist import Alphabet, are_similar
-
-
-@dataclass(frozen=True)
-class TypeInfo:
-    count: int
-    graphemes: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class TypeTable:
-    """Distinct word types with counts and grapheme sequences."""
-
-    entries: dict[str, TypeInfo]
-
-    @classmethod
-    def from_corpus(cls, corpus: Corpus, alphabet: Alphabet | None = None) -> "TypeTable":
-        counts = Counter()
-        graphemes: dict[str, tuple[str, ...]] = {}
-        for token in corpus.iter_tokens():
-            counts[token.raw] += 1
-            if token.raw not in graphemes:
-                if token.graphemes is not None:
-                    graphemes[token.raw] = token.graphemes
-                elif alphabet is not None:
-                    graphemes[token.raw] = alphabet.segment(token.raw)
-                else:
-                    raise ValueError(
-                        f"token {token.raw!r} has no segmentation and no "
-                        "alphabet was given"
-                    )
-        return cls({w: TypeInfo(counts[w], graphemes[w]) for w in counts})
-
-    def grapheme_counts(self) -> Counter:
-        """Occurrences of each grapheme across all tokens."""
-        counts = Counter()
-        for info in self.entries.values():
-            for g in info.graphemes:
-                counts[g] += info.count
-        return counts
 
 
 @dataclass(frozen=True)
@@ -209,20 +174,13 @@ def frequency_ratio_report(
             count_a, count_b = count_b, count_a
             diff = [(diff[0][1], diff[0][0])]
         ga, gb = diff[0]
-        rows.append(
-            RatioRow(
-                type_a=a,
-                type_b=b,
-                grapheme_a=ga,
-                grapheme_b=gb,
-                count_a=count_a,
-                count_b=count_b,
-                count_ratio=count_b / count_a,
-                grapheme_count_ratio=(
-                    grapheme_counts[gb] / grapheme_counts[ga]
-                    if grapheme_counts[ga]
-                    else float("inf")
-                ),
-            )
+        grapheme_ratio = (
+            grapheme_counts[gb] / grapheme_counts[ga]
+            if grapheme_counts[ga] else float("inf")
         )
+        rows.append(RatioRow(
+            type_a=a, type_b=b, grapheme_a=ga, grapheme_b=gb,
+            count_a=count_a, count_b=count_b, count_ratio=count_b / count_a,
+            grapheme_count_ratio=grapheme_ratio,
+        ))
     return rows

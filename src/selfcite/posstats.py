@@ -2,7 +2,9 @@
 
 All rates are reported with their sample sizes: a :class:`Rate` keeps the
 raw hit/total counts and exposes the fraction. Word lengths are measured in
-graphemes, so the corpus must be normalized first.
+graphemes, so the corpus must be normalized first. The rank-frequency list
+sorts the counts of the corpus's type table, :attr:`Corpus.types`; no word
+type is counted here.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from selfcite.corpus import Corpus, require_graphemes
+from selfcite.corpus import Corpus
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,8 @@ def positional_stats(
     Pairwise rates (second word shorter/longer, subgroup) are computed only
     over lines with at least two tokens.
     """
-    if not corpus.lines or corpus.token_count() == 0:
+    # segmentations() also raises unless the corpus was normalized
+    if not corpus.types.segmentations():
         raise ValueError("empty corpus")
 
     para_first = [0, 0]
@@ -112,7 +115,7 @@ def positional_stats(
     for line in corpus.lines:
         if not line.tokens:
             continue
-        words = [require_graphemes(t) for t in line.tokens]
+        words = [t.graphemes for t in line.tokens]
         for m, word in enumerate(words):
             total_len += len(word)
             total_tokens += 1
@@ -168,6 +171,6 @@ def positional_stats(
 
 def rank_frequency(corpus: Corpus) -> list[tuple[int, str, int]]:
     """Types by descending count, ties broken lexicographically, ranks 1-based."""
-    counts = Counter(token.raw for token in corpus.iter_tokens())
-    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return [(rank, word, count) for rank, (word, count) in enumerate(ordered, start=1)]
+    entries = corpus.types.entries
+    ordered = sorted(entries, key=lambda word: (-entries[word].count, word))
+    return [(rank, word, entries[word].count) for rank, word in enumerate(ordered, start=1)]

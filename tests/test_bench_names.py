@@ -45,15 +45,34 @@ def test_traced_names_resolve():
 
 
 def test_props_calls_bind():
+    """Every call ``bench/props.py`` makes to a name it imports from selfcite
+    (directly, or as ``Name.method``) binds to that callable's signature."""
     props = _load("props")
     tree = ast.parse((BENCH / "props.py").read_text(encoding="utf-8"))
-    calls = [
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "from_corpus"
-    ]
-    assert calls
-    signature = inspect.signature(props.TypeTable.from_corpus)
-    for call in calls:
-        signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "selfcite"
+        for alias in node.names
+    }
+    called = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in imported:
+            name, target = func.id, getattr(props, func.id)
+        elif (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id in imported
+        ):
+            name = func.value.id
+            target = getattr(getattr(props, name), func.attr)
+        else:
+            continue
+        called.add(name)
+        signature = inspect.signature(target)
+        signature.bind(*node.args, **{kw.arg: kw.value for kw in node.keywords})
+    # every imported name is called, so none can go unchecked
+    assert called == imported

@@ -1,3 +1,4 @@
+import csv
 import errno
 import itertools
 import json
@@ -328,7 +329,9 @@ def test_pages_no_match_is_data_error(toy_input, tmp_path, capsys):
     pages.write_text("f99v\n", encoding="utf-8")
     assert main(["parse", "--input", str(toy_input),
                  "--pages", str(pages)]) == 1
-    assert "no lines match" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "no lines match" in err
+    assert f"--input {toy_input}" in err and f"--pages {pages}" in err
 
 
 def test_network_edges_csv(toy_input, tmp_path):
@@ -341,6 +344,28 @@ def test_network_edges_csv(toy_input, tmp_path):
     assert lines[0] == "type_a,type_b,operation"
     assert "chedy,ychedy,indel y @0" in lines
     assert "chedy,kchedy,indel k @0" in lines
+
+
+def test_csv_outputs_quote_words_with_commas(tmp_path):
+    prose = tmp_path / "prose.txt"
+    prose.write_text(
+        "the cost was 1,000 then 1,00 and 1,000\nyes 1,000 and 1,00\n",
+        encoding="utf-8",
+    )
+    ranks, edges = tmp_path / "ranks.csv", tmp_path / "edges.csv"
+    options = ["--input", str(prose), "--kind", "plaintext", "--profile", "chars",
+               "--min-graphemes", "1"]
+    assert main(["stats", *options, "--rank-frequency-out", str(ranks),
+                 "--out", str(tmp_path / "stats.jsonl")]) == 0
+    assert main(["network", *options, "--min-freq", "2", "--out", str(edges)]) == 0
+    with open(ranks, newline="", encoding="utf-8") as f:
+        rank_rows = list(csv.reader(f))
+    with open(edges, newline="", encoding="utf-8") as f:
+        edge_rows = list(csv.reader(f))
+    assert {len(row) for row in rank_rows} == {3}
+    assert ["1", "1,000", "3"] in rank_rows
+    assert {len(row) for row in edge_rows} == {3}
+    assert ["1,00", "1,000", "indel 0 @2"] in edge_rows
 
 
 def test_path_subcommand(toy_input, capsys):
@@ -549,6 +574,19 @@ def test_rerun_resolves_paths_against_the_manifest(
     for name in ("s.json", "ranks.csv"):
         fresh = (tmp_path / "o" / name).read_bytes()
         assert fresh == (tmp_path / "a" / name).read_bytes()
+
+
+def test_rerun_out_dir_under_a_file_is_data_error(toy_input, tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    assert main(["grid", "--input", str(toy_input), "--out", str(out)]) == 0
+    blocked = tmp_path / "file"
+    blocked.write_text("", encoding="utf-8")
+    code = main(["rerun", str(tmp_path / "grid.csv.manifest.json"),
+                 "--out-dir", str(blocked / "sub")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create --out-dir {blocked / 'sub'}: ")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("content", ["{}", "[1]"], ids=["no_fields", "list"])

@@ -103,6 +103,24 @@ def test_token_less_lines_still_count_as_lines():
     assert _counts(grid) == recount
 
 
+def test_raw_words_with_equal_graphemes_match_at_distance_zero():
+    # types are keyed on the raw word, so a hand-built corpus can hold two
+    # types spelled alike; their pairs still count as identical
+    parsed = parse_transliteration("<p1.P.1> xy.XY.yz\n<p1.P.2> XY.xy")
+    corpus = replace(parsed, lines=tuple(
+        replace(line, tokens=tuple(
+            replace(token, graphemes=XYZ.segment(token.raw.lower()))
+            for token in line.tokens
+        ))
+        for line in parsed.lines
+    ))
+    grids = compute_grids(corpus, GridSpec(alphabet=XYZ, max_line_offset=1,
+                                           max_pos_offset=2), (0, 1, 2))
+    for d, grid in grids.items():
+        assert _counts(grid) == brute_force_grid_counts(corpus, XYZ, 1, 2, d)
+    assert grids[0].cells[(0, -1)].match_count == 2
+
+
 @pytest.mark.parametrize("lines", [
     [["x"]],                           # no pair at all: an empty batch
     [["x", "x"], ["x", "x", "x"]],     # one type: only equal pairs
@@ -297,28 +315,31 @@ def test_shuffle_flattens_proportions():
 # summarize_decay
 # ---------------------------------------------------------------------------
 
-def test_decay_requires_four_rows():
+def test_decay_skips_rows_without_data():
+    # two lines: only row n-1 has pairs, and no far row to compare it with
     corpus = _corpus([["x", "y"], ["x", "z"]], XYZ)
-    grid = compute_grid(corpus, GridSpec(alphabet=XYZ, max_line_offset=1,
+    grid = compute_grid(corpus, GridSpec(alphabet=XYZ, max_line_offset=9,
                                          max_pos_offset=1))
-    with pytest.raises(ValueError, match="4 rows"):
-        summarize_decay(grid)
+    means, decays = summarize_decay(grid)
+    assert set(means) == {1}
+    assert decays is False
 
 
 def test_decay_constant_rows():
     corpus = _corpus([["a", "a"]] * 6, Alphabet.single_characters("a"))
     grid = compute_grid(corpus, GridSpec(alphabet=Alphabet.single_characters("a"),
                                          max_line_offset=4, max_pos_offset=1))
-    means = summarize_decay(grid)
+    means, decays = summarize_decay(grid)
     assert set(means) == {1, 2, 3, 4}
     assert all(m == 1.0 for m in means.values())
+    assert not decays  # rows n-7..n-9 are outside the window
 
 
 def test_decay_toy_single_row_mean():
     corpus = _corpus([["x", "y"], ["x", "z"]] * 4, XYZ)
     grid = compute_grid(corpus, GridSpec(alphabet=XYZ, max_line_offset=4,
                                          max_pos_offset=1))
-    means = summarize_decay(grid)
+    means, _ = summarize_decay(grid)
     assert 1 in means and 4 in means
 
 
@@ -354,8 +375,9 @@ PUBLISHED_IDENTICAL_ROWS = [
 
 def test_decay_on_published_row_values():
     grid = _grid_from_rows(PUBLISHED_IDENTICAL_ROWS, max_pos_offset=6)
-    means = summarize_decay(grid)
+    means, decays = summarize_decay(grid)
     assert means[1] > means[9]
+    assert decays
 
 
 # ---------------------------------------------------------------------------

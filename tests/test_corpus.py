@@ -1,17 +1,27 @@
+from collections import Counter
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from selfcite.corpus import (
+    Corpus,
+    EmptyCorpusError,
+    Locus,
     ParseError,
+    Token,
+    assemble_corpus,
     filter_pages,
     format_transliteration,
     normalize,
     parse_plaintext,
     parse_transliteration,
 )
-from selfcite.cooccur import GridSpec, compute_grid
+from selfcite.cooccur import GridSpec, compute_grid, compute_grids
 from selfcite.editdist import Alphabet, SegmentationError
-from selfcite.posstats import positional_stats
+from selfcite.generator import GeneratorParams, generate, shuffle_control
+from selfcite.network import TypeTable, build_graph
+from selfcite.posstats import positional_stats, rank_frequency
 from selfcite.profiles import load_profile
 
 from helpers import oracle_normalize, oracle_parse_transliteration
@@ -361,3 +371,97 @@ def test_format_round_trip():
         l.paragraph_initial for l in corpus.lines
     ]
     assert [l.locus for l in reparsed.lines] == [l.locus for l in corpus.lines]
+
+
+# ---------------------------------------------------------------------------
+# type table
+# ---------------------------------------------------------------------------
+
+def _with_separate_tokens(corpus: Corpus) -> Corpus:
+    """An equal corpus in which every occurrence is its own Token object."""
+    return Corpus(tuple(
+        replace(line, tokens=tuple(Token(t.raw, t.graphemes) for t in line.tokens))
+        for line in corpus.lines
+    ))
+
+
+def _corpus_from(source: str, text: str, seed: int) -> Corpus:
+    if source == "plaintext":
+        return parse_plaintext(text.replace(".", " "))
+    if source == "generate":
+        params = GeneratorParams.defaults().replace(
+            target_token_count=20 + seed % 200, rng_seed=seed
+        )
+        return generate(params, VMS)
+    corpus = parse_transliteration(text)
+    if source == "normalize":
+        return normalize(corpus, VMS, min_graphemes=seed % 3)
+    if source == "filter_pages":
+        return filter_pages(corpus, {"f1r"})
+    if source == "shuffle_control":
+        return shuffle_control(corpus, seed)
+    return corpus
+
+
+@settings(deadline=None)
+@given(
+    st.lists(transliteration_line(), min_size=1, max_size=12),
+    st.sampled_from([
+        "parse_transliteration", "plaintext", "normalize", "filter_pages",
+        "shuffle_control", "generate",
+    ]),
+    st.integers(0, 2**16),
+)
+def test_type_table_is_a_first_occurrence_count(lines, source, seed):
+    try:
+        corpus = _corpus_from(source, "\n".join(lines), seed)
+    except EmptyCorpusError:
+        return
+    counts = Counter(token.raw for token in corpus.iter_tokens())
+    graphemes = {}
+    for token in corpus.iter_tokens():
+        graphemes.setdefault(token.raw, token.graphemes)
+    expected = [(raw, n, graphemes[raw]) for raw, n in counts.items()]
+    for built in (corpus, _with_separate_tokens(corpus)):
+        table = built.types
+        assert [
+            (raw, info.count, info.graphemes) for raw, info in table.entries.items()
+        ] == expected
+        assert built.types is table
+
+
+def test_equal_tokens_need_not_be_shared():
+    lines = [
+        ["chol", "daiin", "chol", "ol"],
+        ["chor", "chol", "daiin", "shol"],
+        ["daiin", "chor", "chol", "shol", "ol"],
+        ["shol", "chol", "dain", "chor"],
+    ]
+    made = {}
+
+    def shared_token(word):
+        return made.setdefault(word, Token(word, VMS.segment(word)))
+
+    def build(token_of):
+        return assemble_corpus([
+            (Locus("f1r", "P", n, ""), tuple(map(token_of, words)), 0)
+            for n, words in enumerate(lines, start=1)
+        ])
+
+    shared = build(shared_token)
+    separate = build(lambda word: Token(word, VMS.segment(word)))
+    assert shared == separate
+    assert len({id(t) for t in separate.iter_tokens()}) == separate.token_count()
+    spec = GridSpec(alphabet=VMS, max_line_offset=3, max_pos_offset=2)
+    grids = [compute_grids(corpus, spec, (0, 1, 2)) for corpus in (shared, separate)]
+    for d in (0, 1, 2):
+        assert grids[0][d].cells == grids[1][d].cells
+    assert sum(cell.match_count for cell in grids[1][0].cells.values()) > 0
+    edges = [
+        build_graph(TypeTable.from_corpus(corpus), VMS, min_freq=1).edges()
+        for corpus in (shared, separate)
+    ]
+    assert edges[0] == edges[1]
+    assert ("daiin", "dain") in edges[1]
+    assert rank_frequency(shared) == rank_frequency(separate)
+    assert rank_frequency(separate)[0] == (1, "chol", 5)
