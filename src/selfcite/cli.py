@@ -497,6 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # selfcite never calls BLAS, and one OpenBLAS thread halves numpy's import.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()

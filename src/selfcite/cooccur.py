@@ -8,21 +8,21 @@ at or right of the writing position are excluded: only previously written
 words are compared.
 
 Counts are exact integers per cell; proportions are rational values formed
-at render time. Word types are not counted here: the ids and words come
-from the corpus's type table, :attr:`selfcite.corpus.Corpus.types`. The
-corpus becomes one padded type-id matrix, in which padding and, with
-``drop_line_edges``, each line's first and last word are blank (-1) cells,
-and one :func:`selfcite.editdist.word_arrays` table of its types serves
-both the prefilter and the distance kernel. Grids for several
-target distances are computed in a single pass, bounded by the largest
-distance:
+at render time. Type ids and words come from the corpus's type table,
+:attr:`selfcite.corpus.Corpus.types`, and one
+:func:`selfcite.editdist.word_arrays` table of its types serves both the
+prefilter and the distance kernel. Grids for several target distances are
+computed in one pass, bounded by the largest distance:
 
-1. Each cell counts its pair instances, and those of a type with itself as
-   distance-0 matches, before any sort.
-2. It keeps the other instances that the lower bounds of
-   :func:`selfcite.editdist.within_lower_bounds` do not rule out, and reduces
-   their sorted canonical type-pair keys to distinct keys with a count each,
-   so memory follows distinct pairs per cell, not pair instances.
+1. The corpus becomes one flat id array, each line padded with blank (-1)
+   cells to the longest line's length plus ``max_pos_offset``. Window cell
+   (i, j) is then one shift ``s = i * width - j``: targets ``flat[s:]`` meet
+   candidates ``flat[:-s]``, and a candidate off its line lands in padding.
+2. On these slices each cell counts its pair instances and, as distance-0
+   matches, those of a type with itself. It gathers the others that the
+   lower bounds of :func:`selfcite.editdist.within_lower_bounds`, read per
+   position, do not rule out, and reduces their canonical type-pair keys to
+   distinct keys with a count each, so memory follows distinct pairs.
 3. One :func:`selfcite.editdist.bounded_distances` batch codes the window's
    distinct kept pairs.
 4. Each cell looks its keys up among the pairs within the bound only and
@@ -35,6 +35,7 @@ numpy is imported inside the functions that use it, so importing this module
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 from selfcite.corpus import Corpus, csv_bytes
@@ -100,40 +101,6 @@ class CooccurrenceGrid:
         return sum(values) / len(values)
 
 
-def _corpus_matrices(corpus: Corpus, spec: GridSpec):
-    """The type-id matrix of the corpus, with -1 in blank cells, and the
-    :func:`word_arrays` table of its types. Ids and words come from the
-    corpus's type table: a type's id is its position there."""
-    import numpy as np
-
-    table = corpus.types
-    words = [spec.alphabet.encode(graphemes) for graphemes in table.segmentations()]
-    type_id = dict(zip(table.entries, range(len(words))))
-    lengths = np.array([len(line.tokens) for line in corpus.lines])
-    ids = [type_id[token.raw] for line in corpus.lines for token in line.tokens]
-    matrix = np.full((len(lengths), lengths.max()), -1, dtype=np.int64)
-    matrix[np.arange(matrix.shape[1]) < lengths[:, None]] = ids
-    if spec.drop_line_edges:
-        rows = np.flatnonzero(lengths)
-        matrix[rows, 0] = matrix[rows, lengths[rows] - 1] = -1
-    return matrix, word_arrays(words, spec.alphabet)
-
-
-def _cell_pairs(matrix, i: int, j: int):
-    """(target, candidate) type ids of one window cell's pair instances."""
-    import numpy as np
-
-    height, width = matrix.shape
-    if i >= height or abs(j) >= width:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    # target columns [lo, hi) pair with candidate columns [lo + j, hi + j)
-    lo, hi = max(0, -j), width - max(0, j)
-    target = matrix[i:, lo:hi]
-    cand = matrix[: height - i, lo + j : hi + j]
-    valid = (target >= 0) & (cand >= 0)
-    return target[valid], cand[valid]
-
-
 def _distinct(keys):
     """Sorted distinct keys and how often each occurs; sorts ``keys`` in place."""
     import numpy as np
@@ -145,6 +112,53 @@ def _distinct(keys):
     starts = np.flatnonzero(first)
     counts = np.diff(starts, append=len(keys)).astype(np.int32)
     return keys[starts], counts
+
+
+def _cell_keys(corpus: Corpus, spec: GridSpec, cells, bound: int):
+    """The :func:`word_arrays` table of the corpus's types, in type-table
+    order, and per window cell: its pair instances, its distance-0 matches,
+    and the distinct keys of its other instances within the lower bounds,
+    with a count each."""
+    import numpy as np
+
+    table = corpus.types
+    segmentations = table.segmentations()
+    grapheme_ids = spec.alphabet.encode(chain.from_iterable(segmentations))
+    words = word_arrays(list(map(len, segmentations)), grapheme_ids, spec.alphabet)
+    _, type_lengths, type_masks = words
+    n_types = max(len(segmentations), 1)
+    type_id = dict(zip(table.entries, range(len(segmentations))))
+    line_lengths = np.array([len(line.tokens) for line in corpus.lines])
+    width = int(line_lengths.max()) + spec.max_pos_offset
+    matrix = np.full((len(line_lengths), width), -1, dtype=np.int32)
+    ids = [type_id[token.raw] for line in corpus.lines for token in line.tokens]
+    matrix[np.arange(width) < line_lengths[:, None]] = ids
+    if spec.drop_line_edges:  # column -1 of a token-less line is padding
+        matrix[:, 0] = matrix[np.arange(len(line_lengths)), line_lengths - 1] = -1
+    flat = matrix.ravel()
+    indel = spec.alphabet.indel_cost
+    filled = flat >= 0
+    # Per position, narrowed to halve each cell's reads: a clip never widens a
+    # length gap, a 32-bit xor-fold never raises a mask xor's popcount. A
+    # blank (-1) reads the zero appended last, and ``pairs`` drops it.
+    lengths = np.append(np.minimum(type_lengths, 2**15 - 1), 0).astype(np.int16)[flat]
+    folded = np.append(type_masks ^ type_masks >> 32, np.uint64(0))
+    masks = folded.astype(np.uint32)[flat]
+    per_cell = []
+    for i, j in cells:
+        s = i * width - j
+        target, cand = slice(s, None), slice(max(len(flat) - s, 0))
+        a, b = flat[target], flat[cand]
+        pairs = filled[target] & filled[cand]
+        equal = a == b
+        kept = np.flatnonzero(pairs & ~equal & within_lower_bounds(
+            lengths[target], lengths[cand], masks[target], masks[cand], bound, indel,
+        ))
+        a, b = a[kept].astype(np.int64), b[kept].astype(np.int64)
+        keys, counts = _distinct(np.minimum(a, b) * n_types + np.maximum(a, b))
+        per_cell.append((int(np.count_nonzero(pairs)),
+                         int(np.count_nonzero(pairs & equal)), keys, counts))
+    return words, per_cell
 
 
 def compute_grids(
@@ -165,19 +179,10 @@ def compute_grids(
         raise ValueError("need at least one target distance")
     if min(distances) < 0:
         raise ValueError("target distances must be >= 0")
-    matrix, words = _corpus_matrices(corpus, spec)
-    n_types = max(len(words[0]), 1)
     bound = max(distances)
-    indel = spec.alphabet.indel_cost
     cells = list(spec.iter_cells())
-    per_cell = []
-    for i, j in cells:
-        a, b = _cell_pairs(matrix, i, j)
-        same = a == b
-        keep = ~same & within_lower_bounds(words, a, b, bound, indel)
-        a, b = a[keep], b[keep]
-        keys, counts = _distinct(np.minimum(a, b) * n_types + np.maximum(a, b))
-        per_cell.append((len(same), int(same.sum()), keys, counts))
+    words, per_cell = _cell_keys(corpus, spec, cells, bound)
+    n_types = max(len(words[1]), 1)
     all_keys, _ = _distinct(np.concatenate([keys for _, _, keys, _ in per_cell]))
     lo, hi = np.divmod(all_keys, n_types)
     codes = bounded_distances(words, lo, hi, bound, spec.alphabet)

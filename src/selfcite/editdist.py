@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 # numpy is imported inside the distance routines only, so the commands that
@@ -147,11 +146,10 @@ class Alphabet:
     def __contains__(self, grapheme: str) -> bool:
         return grapheme in self._ids
 
-    def encode(self, graphemes: Sequence[str]) -> tuple[int, ...]:
+    def encode(self, graphemes: Iterable[str]) -> tuple[int, ...]:
         """Map a grapheme sequence to inventory ids, validating membership."""
-        ids = self._ids
         try:
-            return tuple(ids[g] for g in graphemes)
+            return tuple(map(self._ids.__getitem__, graphemes))
         except KeyError as exc:
             raise ValueError(f"unknown grapheme {exc.args[0]!r}") from None
 
@@ -198,7 +196,7 @@ def bounded_distance_ids(
     end = _common_prefix(a[::-1], b[::-1])
     a, b = a[: len(a) - end], b[: len(b) - end]
     first, second = np.arange(2).reshape(2, 1)
-    words = word_arrays((a, b), alphabet)
+    words = word_arrays((len(a), len(b)), a + b, alphabet)
     value = int(bounded_distances(words, first, second, bound, alphabet)[0])
     return value if value <= bound else None
 
@@ -208,29 +206,26 @@ def _common_prefix(x: Sequence[int], y: Sequence[int]) -> int:
     return next(mismatches, min(len(x), len(y)))
 
 
-def word_arrays(words: Sequence[tuple[int, ...]], alphabet: Alphabet):
-    """(table, lengths, masks) of id sequences: each word padded with the id
+def word_arrays(lengths: Sequence[int], ids: Iterable[int], alphabet: Alphabet):
+    """(table, lengths, masks) of words given by their lengths and by their
+    grapheme ids one word after another: each word padded with the id
     ``len(alphabet.graphemes)``, and with bit ``g % 64`` set for grapheme ``g``."""
     import numpy as np
 
     n_graphemes = len(alphabet.graphemes)
-    lengths = np.fromiter(map(len, words), dtype=np.int32, count=len(words))
+    lengths = np.fromiter(lengths, dtype=np.int32, count=len(lengths))
     width = int(lengths.max(initial=0))
-    table = np.full((len(words), width), n_graphemes, dtype=np.intp)
-    table[np.arange(width) < lengths[:, None]] = np.fromiter(
-        chain.from_iterable(words), dtype=np.intp, count=int(lengths.sum())
-    )
+    table = np.full((len(lengths), width), n_graphemes, dtype=np.intp)
+    table[np.arange(width) < lengths[:, None]] = np.fromiter(ids, np.intp)
     bits = np.left_shift(np.uint64(1), (table & 63).astype(np.uint64))
-    masks = np.bitwise_or.reduce(
-        np.where(table < n_graphemes, bits, np.uint64(0)), axis=1
-    )
+    masks = np.bitwise_or.reduce(np.where(table < n_graphemes, bits, 0), axis=1)
     return table, lengths, masks
 
 
-def within_lower_bounds(words, a, b, bound: int, indel: int) -> np.ndarray:
-    """False where the length or the grapheme-mask lower bound puts words
-    ``a[p]`` and ``b[p]`` of the :func:`word_arrays` table ``words`` beyond
-    ``bound``.
+def within_lower_bounds(lengths_a, lengths_b, masks_a, masks_b, bound: int, indel: int):
+    """False where the length or the grapheme-mask lower bound puts the words
+    of lengths ``lengths_a[p]``, ``lengths_b[p]`` and :func:`word_arrays`
+    masks ``masks_a[p]``, ``masks_b[p]`` beyond ``bound``.
 
     Each grapheme of length difference costs an indel, and a grapheme present
     in one word only costs at least half an edit, so ``popcount(xor)`` of the
@@ -238,9 +233,8 @@ def within_lower_bounds(words, a, b, bound: int, indel: int) -> np.ndarray:
     """
     import numpy as np
 
-    _, lengths, masks = words
-    return (np.abs(lengths[a] - lengths[b]) * indel <= bound) & (
-        np.bitwise_count(masks[a] ^ masks[b]) <= 2 * bound
+    return (np.abs(lengths_a - lengths_b) <= bound // indel) & (
+        np.bitwise_count(masks_a ^ masks_b) <= 2 * bound
     )
 
 
@@ -259,8 +253,8 @@ def bounded_distances(
     """Weighted distances of many word pairs, exact up to ``bound``.
 
     Pair ``p`` is words ``a[p]`` and ``b[p]`` of ``words``, the
-    ``(table, lengths, masks)`` that :func:`word_arrays` builds from id
-    sequences as returned by :meth:`Alphabet.encode`. The result holds each
+    ``(table, lengths, masks)`` that :func:`word_arrays` builds from ids as
+    returned by :meth:`Alphabet.encode`. The result holds each
     pair's distance when it is at most ``bound`` and ``bound + 1`` otherwise,
     in the smallest unsigned dtype that fits ``bound + 1``.
 
@@ -275,15 +269,14 @@ def bounded_distances(
 
     inf = bound + 1
     out = np.full(len(a), inf, dtype=np.min_scalar_type(inf))
-    table, lengths, _ = words
+    table, lengths, masks = words
     n_graphemes = len(alphabet.graphemes)
     width = table.shape[1]
     indel = alphabet.indel_cost
     # No alignment strays further than ``width`` from the main diagonal.
     half = min(bound // indel, width)
-    la = lengths[a]
-    lb = lengths[b]
-    todo = np.flatnonzero(within_lower_bounds(words, a, b, bound, indel))
+    la, lb = lengths[a], lengths[b]
+    todo = np.flatnonzero(within_lower_bounds(la, lb, masks[a], masks[b], bound, indel))
     todo = todo[np.argsort(la[todo])]
     # Word ids run down the columns, so a chunk's rows come out contiguous;
     # ``half`` padding rows above the second word cover diagonals left of j=1.

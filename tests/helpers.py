@@ -13,13 +13,15 @@ match them RNG call for RNG call. Apart from the kernel table, the corpus data c
 ``assemble_corpus``, none shares code with the library internals it
 checks. The hand-enumerated grid cases live here too, shared between the
 unit tests and the acceptance suite, and so does ``batch_distances``, which
-runs a test's many pairs through the library's batched distance in one call.
+runs a test's many pairs through the library's batched distance in one call,
+and ``id_table``, the library's word table of a list of id sequences.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import replace
+from itertools import chain
 
 from selfcite.corpus import Corpus, Locus, ParseError, Token, assemble_corpus
 from selfcite.editdist import Alphabet, are_similar, bounded_distances, word_arrays
@@ -133,6 +135,11 @@ def oracle_bounded_distance(
     return value if value <= bound else None
 
 
+def id_table(words, alphabet: Alphabet):
+    """The :func:`word_arrays` table of id sequences ``words``."""
+    return word_arrays(list(map(len, words)), chain.from_iterable(words), alphabet)
+
+
 def batch_distances(pairs, alphabet: Alphabet, bound: int | None = None):
     """``edit_distance`` of each grapheme-sequence pair, in one batched call.
 
@@ -149,7 +156,7 @@ def batch_distances(pairs, alphabet: Alphabet, bound: int | None = None):
         longest = max((len(x) + len(y) for x, y in pairs), default=0)
         bound = longest * alphabet.indel_cost
     codes = bounded_distances(
-        word_arrays([alphabet.encode(seq) for seq in ids], alphabet),
+        id_table([alphabet.encode(seq) for seq in ids], alphabet),
         np.array(a, dtype=np.intp),
         np.array(b, dtype=np.intp),
         bound,

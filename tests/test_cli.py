@@ -640,3 +640,13 @@ def test_only_grid_commands_load_numpy(toy_input, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "checked"
+
+
+@pytest.mark.parametrize("user_value", [None, "4"], ids=["unset", "user_set"])
+def test_cli_defaults_openblas_to_one_thread(user_value, monkeypatch, capsys):
+    # set first, so that monkeypatch restores the variable's prior state
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", user_value or "unset")
+    if user_value is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert main(["profile", "--profile", "vms"]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == (user_value or "1")

@@ -30,6 +30,19 @@ def _corpus(lines, alphabet, min_graphemes=1):
     return normalize(parse_transliteration(text), alphabet, min_graphemes)
 
 
+def _segmented(text, alphabet):
+    """The parsed transliteration with each token segmented in place, so that
+    token-less lines stay (normalize would drop them)."""
+    parsed = parse_transliteration(text)
+    return replace(parsed, lines=tuple(
+        replace(line, tokens=tuple(
+            replace(token, graphemes=alphabet.segment(token.raw))
+            for token in line.tokens
+        ))
+        for line in parsed.lines
+    ))
+
+
 def _counts(grid):
     return {
         cell: (gc.pair_count, gc.match_count) for cell, gc in grid.cells.items()
@@ -86,14 +99,7 @@ def test_single_line_corpus_has_blank_previous_rows():
 def test_token_less_lines_still_count_as_lines():
     # a line with a locus but no tokens shifts the window like any other line
     # (normalize would drop that line, so segment the tokens in place)
-    text = "<p1.P.1> x.y\n<p1.P.2>\n<p1.P.3> x.z"
-    parsed = parse_transliteration(text)
-    corpus = replace(parsed, lines=tuple(
-        replace(line, tokens=tuple(
-            replace(token, graphemes=XYZ.segment(token.raw)) for token in line.tokens
-        ))
-        for line in parsed.lines
-    ))
+    corpus = _segmented("<p1.P.1> x.y\n<p1.P.2>\n<p1.P.3> x.z", XYZ)
     spec = GridSpec(alphabet=XYZ, max_line_offset=2, max_pos_offset=1)
     grid = compute_grid(corpus, spec)
     assert grid.cells[(1, 0)].pair_count == 0
@@ -101,6 +107,13 @@ def test_token_less_lines_still_count_as_lines():
     assert grid.cells[(2, 0)].match_count == 1
     recount = brute_force_grid_counts(corpus, XYZ, 2, 1, 0)
     assert _counts(grid) == recount
+
+
+def test_corpus_of_token_less_lines_has_no_pairs():
+    corpus = _segmented("<p1.P.1>\n<p1.P.2>", XYZ)
+    spec = GridSpec(alphabet=XYZ, max_line_offset=2, max_pos_offset=1)
+    for grid in compute_grids(corpus, spec, (0, 1)).values():
+        assert all(cell.pair_count == 0 for cell in grid.cells.values())
 
 
 def test_raw_words_with_equal_graphemes_match_at_distance_zero():
@@ -189,8 +202,9 @@ def test_conservation_against_brute_force(seed):
 
 # Alphabets whose costs, similarity groups and size the unit-cost cases above
 # never reach, with the graphemes their words are drawn from. The 70-grapheme
-# inventory folds ids mod 64 in the bitmask bound, so its words mix the
-# graphemes whose bits collide (ids 0-3 share bits with ids 64-67).
+# inventory folds ids mod 64 in the bitmask bound, and the grid folds masks
+# again to 32 bits, so its words mix the graphemes whose bits collide (ids
+# 0-3 share bits with ids 64-67, and in the grid with ids 32-35).
 WIDE = Alphabet.single_characters(chr(0x4E00 + k) for k in range(70))
 PREFILTER_ALPHABETS = {
     "indel2_groups": (
@@ -206,7 +220,8 @@ PREFILTER_ALPHABETS = {
                  dissimilar_substitution_cost=2),
         "abcdef",
     ),
-    "wide_inventory": (WIDE, WIDE.graphemes[:4] + WIDE.graphemes[64:]),
+    "wide_inventory": (WIDE, WIDE.graphemes[:4] + WIDE.graphemes[32:36]
+                       + WIDE.graphemes[64:]),
 }
 
 
@@ -254,6 +269,42 @@ def test_prefilter_conservation_against_brute_force(name, drop):
         assert _counts(together[d]) == recount, d
         assert _counts(compute_grid(corpus, spec, d)) == recount, d
         assert any(match for _, match in recount.values()), d
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["all", "drop_edges"])
+@pytest.mark.parametrize("rows,cols", [(3, 5), (8, 2), (9, 7)],
+                         ids=["widest_line", "all_lines", "both_beyond"])
+def test_windows_beyond_the_corpus_match_brute_force(rows, cols, drop):
+    # a window as wide as the widest line reaches past a line's start into
+    # the previous line's padding, and one as deep as the corpus past its
+    # first line; lines are of unequal length, single-token and token-less
+    alphabet, graphemes = PREFILTER_ALPHABETS["groups"]
+    rng = random.Random(rows * 10 + cols)
+    vocabulary = _near_vocabulary(rng, alphabet, graphemes)
+    text = "\n".join(
+        f"<p1.P.{k + 1}>" + (" " if n else "")
+        + ".".join(rng.choice(vocabulary) for _ in range(n))
+        for k, n in enumerate([5, 1, 0, 3, 2, 4, 1, 5])
+    )
+    corpus = _segmented(text, alphabet)
+    spec = GridSpec(alphabet=alphabet, max_line_offset=rows, max_pos_offset=cols,
+                    drop_line_edges=drop)
+    for d, grid in compute_grids(corpus, spec, (0, 1, 2)).items():
+        recount = brute_force_grid_counts(corpus, alphabet, rows, cols, d, drop)
+        assert _counts(grid) == recount, d
+
+
+def test_long_tokens_keep_their_lengths():
+    # two 40,000-grapheme words one substitution apart: lengths past any
+    # 16-bit range must still meet the length bound (the naive recount
+    # cannot run on words this long)
+    alphabet = Alphabet.single_characters("ab")
+    word = "a" * 40_000
+    other = word[:20_000] + "b" + word[20_001:]
+    corpus = _corpus([[word, other]], alphabet)
+    spec = GridSpec(alphabet=alphabet, max_line_offset=1, max_pos_offset=1)
+    cell = compute_grid(corpus, spec, 1).cells[(0, -1)]
+    assert (cell.pair_count, cell.match_count) == (1, 1)
 
 
 def test_partition_consistency_multi_distance():

@@ -12,10 +12,9 @@ from selfcite.editdist import (
     are_similar,
     bounded_distances,
     edit_distance,
-    word_arrays,
 )
 
-from helpers import batch_distances, naive_distance, oracle_bounded_distance
+from helpers import batch_distances, id_table, naive_distance, oracle_bounded_distance
 
 
 VMS_LIKE = Alphabet(
@@ -277,7 +276,7 @@ def test_batched_distances_match_scalar(profile, bound):
     random_pairs = [(rng.randrange(len(words)), rng.randrange(len(words)))
                     for _ in range(1500)]
     a, b = zip(*(same + derived + random_pairs))
-    got = bounded_distances(word_arrays(words, alphabet), np.array(a), np.array(b),
+    got = bounded_distances(id_table(words, alphabet), np.array(a), np.array(b),
                             bound, alphabet)
     expected = [
         oracle_bounded_distance(words[i], words[j], bound, alphabet)
@@ -309,12 +308,12 @@ def test_pruned_pairs_skip_the_walk(monkeypatch):
 
 def test_batched_distances_edge_cases():
     empty = np.empty(0, dtype=np.int64)
-    assert bounded_distances(word_arrays([(0, 1)], TINY), empty, empty, 3,
+    assert bounded_distances(id_table([(0, 1)], TINY), empty, empty, 3,
                              TINY).tolist() == []
     # a bound wider than every word, the empty one included: all exact
     strings = tiny_strings(3)
     a, b = np.divmod(np.arange(len(strings) ** 2), len(strings))
-    words = word_arrays([TINY.encode(s) for s in strings], TINY)
+    words = id_table([TINY.encode(s) for s in strings], TINY)
     got = bounded_distances(words, a, b, 40, TINY)
     assert got.tolist() == [
         naive_distance(strings[i], strings[j], TINY) for i, j in zip(a, b)
