@@ -114,6 +114,14 @@ def _distinct(keys):
     return keys[starts], counts
 
 
+def _key_dtype(n_types: int):
+    """The smallest signed dtype that holds ``n_types**2``: every canonical
+    pair key ``lo * n_types + hi`` and the sentinel above them."""
+    import numpy as np
+
+    return np.min_scalar_type(-n_types * n_types - 1)
+
+
 def _cell_keys(corpus: Corpus, spec: GridSpec, cells, bound: int):
     """The :func:`word_arrays` table of the corpus's types, in type-table
     order, and per window cell: its pair instances, its distance-0 matches,
@@ -127,6 +135,7 @@ def _cell_keys(corpus: Corpus, spec: GridSpec, cells, bound: int):
     words = word_arrays(list(map(len, segmentations)), grapheme_ids, spec.alphabet)
     _, type_lengths, type_masks = words
     n_types = max(len(segmentations), 1)
+    key_type = _key_dtype(n_types)
     type_id = dict(zip(table.entries, range(len(segmentations))))
     line_lengths = np.array([len(line.tokens) for line in corpus.lines])
     width = int(line_lengths.max()) + spec.max_pos_offset
@@ -154,7 +163,7 @@ def _cell_keys(corpus: Corpus, spec: GridSpec, cells, bound: int):
         kept = np.flatnonzero(pairs & ~equal & within_lower_bounds(
             lengths[target], lengths[cand], masks[target], masks[cand], bound, indel,
         ))
-        a, b = a[kept].astype(np.int64), b[kept].astype(np.int64)
+        a, b = a[kept].astype(key_type), b[kept].astype(key_type)
         keys, counts = _distinct(np.minimum(a, b) * n_types + np.maximum(a, b))
         per_cell.append((int(np.count_nonzero(pairs)),
                          int(np.count_nonzero(pairs & equal)), keys, counts))
@@ -188,7 +197,7 @@ def compute_grids(
     codes = bounded_distances(words, lo, hi, bound, spec.alphabet)
     near = codes <= bound
     # A sentinel above every key takes the keys beyond the bound.
-    near_keys = np.append(all_keys[near], n_types * n_types)
+    near_keys = np.append(all_keys[near], all_keys.dtype.type(n_types * n_types))
     near_codes = np.append(codes[near], bound + 1)
     grids = {d: {} for d in distances}
     for cell, (pair_count, same_count, keys, counts) in zip(cells, per_cell):

@@ -54,10 +54,11 @@ class ParseError(ValueError):
 
 
 class EmptyCorpusError(ValueError):
-    """No token is left to analyse."""
+    """Too few tokens are left to analyse: none, or fewer than an analysis
+    needs. The command line names the input file."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Locus:
     """Source position of a line: page, text unit, line number."""
 
@@ -78,7 +79,7 @@ class Locus:
         return "".join(takewhile(str.isalpha, self.unit)) or self.unit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """One word occurrence; graphemes are filled in by normalization."""
 
@@ -90,7 +91,7 @@ class Token:
             raise ValueError("token must be nonempty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Line:
     locus: Locus
     tokens: tuple[Token, ...]

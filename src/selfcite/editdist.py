@@ -208,17 +208,26 @@ def _common_prefix(x: Sequence[int], y: Sequence[int]) -> int:
 
 def word_arrays(lengths: Sequence[int], ids: Iterable[int], alphabet: Alphabet):
     """(table, lengths, masks) of words given by their lengths and by their
-    grapheme ids one word after another: each word padded with the id
-    ``len(alphabet.graphemes)``, and with bit ``g % 64`` set for grapheme ``g``."""
+    grapheme ids one word after another.
+
+    ``table`` holds one word per row, padded with the id
+    ``len(alphabet.graphemes)``, in the smallest unsigned dtype that holds
+    that id (uint8 up to 255 graphemes); ``lengths`` is int32; ``masks`` is
+    uint64, with bit ``g % 64`` set for each grapheme ``g`` of the word."""
     import numpy as np
 
     n_graphemes = len(alphabet.graphemes)
     lengths = np.fromiter(lengths, dtype=np.int32, count=len(lengths))
     width = int(lengths.max(initial=0))
-    table = np.full((len(lengths), width), n_graphemes, dtype=np.intp)
-    table[np.arange(width) < lengths[:, None]] = np.fromiter(ids, np.intp)
-    bits = np.left_shift(np.uint64(1), (table & 63).astype(np.uint64))
-    masks = np.bitwise_or.reduce(np.where(table < n_graphemes, bits, 0), axis=1)
+    dtype = np.min_scalar_type(n_graphemes)
+    table = np.full((len(lengths), width), n_graphemes, dtype=dtype)
+    table[np.arange(width) < lengths[:, None]] = np.fromiter(ids, dtype)
+    # Each id's bit, and none for the padding id.
+    bits = np.left_shift(np.uint64(1), np.arange(n_graphemes + 1, dtype=np.uint64) % 64)
+    bits[n_graphemes] = 0
+    masks = np.zeros(len(lengths), dtype=np.uint64)
+    for column in table.T:  # one column at a time: no 2-D uint64 temporary
+        masks |= bits[column]
     return table, lengths, masks
 
 
@@ -258,6 +267,12 @@ def bounded_distances(
     pair's distance when it is at most ``bound`` and ``bound + 1`` otherwise,
     in the smallest unsigned dtype that fits ``bound + 1``.
 
+    The band reads its substitution costs from a flat ``(G+1) x (G+1)``
+    table, ``G`` graphemes plus the padding id, at the first word's id times
+    ``G + 1`` plus the second word's id. Both row arrays are held in the
+    smallest unsigned dtype that fits ``(G+1)**2 - 1`` (uint16 up to 255
+    graphemes).
+
     The lower bounds of :func:`within_lower_bounds` settle most pairs without
     a DP. The rest run a banded DP over the ``2 * (bound // indel) + 1``
     diagonals around the main one, grouped by the length of the first word so
@@ -280,8 +295,10 @@ def bounded_distances(
     todo = todo[np.argsort(la[todo])]
     # Word ids run down the columns, so a chunk's rows come out contiguous;
     # ``half`` padding rows above the second word cover diagonals left of j=1.
-    a_rows = table.T * (n_graphemes + 1)
-    b_rows = np.full((width + 2 * half, len(table)), n_graphemes, dtype=np.intp)
+    dtype = np.min_scalar_type((n_graphemes + 1) ** 2 - 1)
+    a_rows = table.T.astype(dtype)
+    a_rows *= n_graphemes + 1
+    b_rows = np.full((width + 2 * half, len(table)), n_graphemes, dtype=dtype)
     b_rows[half : half + width] = table.T
     costs = _substitution_costs(alphabet, inf)
     ends = np.cumsum(np.bincount(la[todo]))

@@ -29,6 +29,7 @@ from pathlib import Path
 
 from selfcite.corpus import (
     Corpus,
+    EmptyCorpusError,
     LineRecord,
     Locus,
     Token,
@@ -485,13 +486,15 @@ def validate_signature(
     the writing position divided by the mean proportion of the deepest row;
     ``row_decay`` records, per distance, whether rows n-1..n-3 average above
     rows n-7..n-9; ``natural_text_contrast`` is the immediate-repetition
-    proportion itself, near zero for natural running text.
+    proportion itself, near zero for natural running text. Raises
+    :class:`EmptyCorpusError` when fewer than 2000 tokens of at least
+    ``min_graphemes`` graphemes remain.
     """
     normalized = normalize(corpus, alphabet, min_graphemes)
-    if normalized.token_count() < 2000:
-        raise ValueError(
-            "corpus too small: need at least 2000 tokens of at least "
-            f"{min_graphemes} graphemes"
+    if (tokens := normalized.token_count()) < 2000:
+        raise EmptyCorpusError(
+            f"corpus too small: {tokens} tokens of at least {min_graphemes} "
+            "graphemes, need 2000"
         )
     spec = GridSpec(alphabet=alphabet)
     grids = compute_grids(normalized, spec, (0, 1, 2))

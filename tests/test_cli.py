@@ -107,6 +107,21 @@ def test_empty_corpus_names_the_input(text, argv, cutoff, tmp_path, capsys):
     assert ("no token has at least 2 graphemes" in err) == cutoff, err
 
 
+def test_validate_floor_names_the_input_and_count(tmp_path, capsys):
+    # "ol" has two graphemes, so --min-graphemes 3 keeps 20 of the 30 tokens
+    path = tmp_path / "small.evt"
+    path.write_text("".join(f"<f1r.P.{n}> daiin.chedy.ol\n" for n in range(1, 11)),
+                    encoding="utf-8")
+    out = tmp_path / "report.json"
+    argv = ["validate", "--input", str(path), "--min-graphemes", "3", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: --input {path}: corpus too small: 20 tokens of at least 3 "
+        "graphemes, need 2000\n"
+    )
+    assert not out.exists()
+
+
 def test_input_encoding(tmp_path, capsys):
     bom = tmp_path / "bom.txt"
     bom.write_bytes(b"\xef\xbb\xbf" + TOY.encode("utf-8"))

@@ -1,8 +1,12 @@
+import itertools
 import random
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from selfcite import cooccur
 from selfcite.cooccur import (
     CooccurrenceGrid,
     GridCell,
@@ -13,7 +17,7 @@ from selfcite.cooccur import (
     render_grid,
     summarize_decay,
 )
-from selfcite.corpus import normalize, parse_transliteration
+from selfcite.corpus import Locus, Token, assemble_corpus, normalize, parse_transliteration
 from selfcite.editdist import Alphabet
 from selfcite.generator import GeneratorParams, generate, shuffle_control
 from selfcite.profiles import load_profile
@@ -305,6 +309,88 @@ def test_long_tokens_keep_their_lengths():
     spec = GridSpec(alphabet=alphabet, max_line_offset=1, max_pos_offset=1)
     cell = compute_grid(corpus, spec, 1).cells[(0, -1)]
     assert (cell.pair_count, cell.match_count) == (1, 1)
+
+
+# Pair keys ``lo * n_types + hi`` and their sentinel ``n_types**2`` are held
+# in the smallest signed dtype that holds the sentinel: the cases sit on both
+# sides of each step.
+@pytest.mark.parametrize("n_types, key_type", [
+    (11, np.int8), (12, np.int16), (181, np.int16), (182, np.int32),
+])
+def test_pair_key_dtype_steps_match_brute_force(n_types, key_type):
+    alphabet = Alphabet.single_characters("abcdef")
+    vocabulary = ["".join(w) for n in (1, 2, 3)
+                  for w in itertools.product(alphabet.graphemes, repeat=n)]
+    rng = random.Random(n_types)
+    words = rng.sample(vocabulary, n_types)
+    tokens = words + [rng.choice(words) for _ in range(n_types)]
+    lines = []
+    while tokens:
+        lines.append(tokens[:rng.randrange(1, 7)])
+        del tokens[:len(lines[-1])]
+    corpus = _corpus(lines, alphabet)
+    assert len(corpus.types.entries) == n_types
+    assert cooccur._key_dtype(n_types) == key_type
+    spec = GridSpec(alphabet=alphabet, max_line_offset=3, max_pos_offset=2)
+    for d, grid in compute_grids(corpus, spec, (1, 2)).items():
+        recount = brute_force_grid_counts(corpus, alphabet, 3, 2, d)
+        assert _counts(grid) == recount, d
+        assert any(match for _, match in recount.values()), d
+
+
+def test_pair_keys_of_46341_types_are_int64():
+    # 46,341**2 is past the int32 range, though every real key fits in it.
+    # Token-less lines keep all but the last two lines out of each other's
+    # windows, so the recount stays small; those two pair the highest ids.
+    alphabet = Alphabet.single_characters("abcdefghijklmnopqrstuvwxyz0123456789")
+    words = ["".join(w) for w in itertools.islice(
+        itertools.product(alphabet.graphemes, repeat=3), 46_341)]
+    rows = [row for w in words[:-12] for row in ((w,), ())]
+    rows += [words[-12:-6], words[-6:]]
+    corpus = assemble_corpus([
+        (Locus("p1", "P", k + 1, ""), tuple(Token(w, tuple(w)) for w in row), k)
+        for k, row in enumerate(rows)
+    ])
+    assert len(corpus.types.entries) == 46_341
+    assert cooccur._key_dtype(46_341) == np.int64
+    spec = GridSpec(alphabet=alphabet, max_line_offset=1, max_pos_offset=1)
+    recount = brute_force_grid_counts(corpus, alphabet, 1, 1, 1)
+    assert _counts(compute_grid(corpus, spec, 1)) == recount
+    assert any(match for _, match in recount.values())
+
+
+def test_distance_past_255_matches_brute_force():
+    # costs in the hundreds: a window pair's distance code reaches 301
+    # (beyond the bound), so the kernel returns uint16 codes
+    alphabet = Alphabet(graphemes=tuple("abcd"), similarity_groups=(frozenset("ab"),),
+                        similar_substitution_cost=150,
+                        dissimilar_substitution_cost=200, indel_cost=100)
+    rng = random.Random(300)
+    corpus = _random_corpus(rng, alphabet, n_lines=10, max_line_len=5)
+    spec = GridSpec(alphabet=alphabet, max_line_offset=3, max_pos_offset=2)
+    for d, grid in compute_grids(corpus, spec, (150, 200, 300)).items():
+        recount = brute_force_grid_counts(corpus, alphabet, 3, 2, d)
+        assert _counts(grid) == recount, d
+        assert any(match for _, match in recount.values()), d
+
+
+def test_grid_peak_memory_is_bounded():
+    # tracemalloc sees numpy's buffers. With the word table in uint8, band
+    # rows in uint16 and pair keys in int32, this book's grids peak at about
+    # 1.2 MB above their inputs; with intp tables and rows and int64 keys
+    # they peaked at 2.4 MB.
+    corpus = normalize(generate(GeneratorParams.defaults().replace(
+        target_token_count=3000, rng_seed=1), VMS), VMS)
+    spec = GridSpec(alphabet=VMS)
+    corpus.types  # counted before tracing, as every grid reads it
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        compute_grids(corpus, spec, (0, 1, 2))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000, peak
 
 
 def test_partition_consistency_multi_distance():

@@ -306,6 +306,43 @@ def test_pruned_pairs_skip_the_walk(monkeypatch):
     assert walks == [(1, 0)]
 
 
+@pytest.mark.parametrize("n_graphemes, table_type, row_type", [
+    (255, np.uint8, np.uint16), (256, np.uint16, np.uint32),
+    (257, np.uint16, np.uint32),
+])
+def test_wide_alphabets_match_scalar(n_graphemes, table_type, row_type,
+                                     monkeypatch):
+    # the word table holds the padding id G (uint8 up to 255 graphemes); a
+    # band row holds a first word's id times G + 1 plus a second word's id,
+    # up to (G+1)**2 - 1, which passes 65,535 at 256 graphemes
+    graphemes = tuple(f"g{k}" for k in range(n_graphemes))
+    alphabet = Alphabet(graphemes=graphemes, similarity_groups=(
+        frozenset(graphemes[-2:]), frozenset((graphemes[0], graphemes[-3]))))
+    rows = []
+    walk = editdist._band_walk
+
+    def spy(a_rows, b_rows, *args):
+        rows.append((a_rows.dtype.type, b_rows.dtype.type))
+        return walk(a_rows, b_rows, *args)
+
+    monkeypatch.setattr(editdist, "_band_walk", spy)
+    rng = random.Random(n_graphemes)
+    ids = (0, 1, 2, n_graphemes - 3, n_graphemes - 2, n_graphemes - 1)
+    words = [tuple(rng.choice(ids) for _ in range(rng.randrange(1, 6)))
+             for _ in range(40)]
+    a, b = np.divmod(np.arange(len(words) ** 2), len(words))
+    table = id_table(words, alphabet)
+    assert table[0].dtype == table_type
+    for bound in (2, 10):
+        got = bounded_distances(table, a, b, bound, alphabet)
+        assert got.tolist() == [
+            bound + 1 if d is None else d
+            for d in (oracle_bounded_distance(words[i], words[j], bound, alphabet)
+                      for i, j in zip(a, b))
+        ]
+    assert set(rows) == {(row_type, row_type)}
+
+
 def test_batched_distances_edge_cases():
     empty = np.empty(0, dtype=np.int64)
     assert bounded_distances(id_table([(0, 1)], TINY), empty, empty, 3,

@@ -374,7 +374,8 @@ def test_shuffle_adjacency_falls_to_repeat_baseline():
 
 def test_validate_rejects_small_corpus():
     corpus = generate(small_params(target_token_count=100), VMS)
-    with pytest.raises(ValueError, match="2000 tokens"):
+    with pytest.raises(ValueError, match=r"^corpus too small: \d+ tokens of at least "
+                                         r"2 graphemes, need 2000$"):
         validate_signature(corpus, VMS)
 
 
@@ -386,7 +387,8 @@ def test_validate_floor_counts_tokens_after_normalization():
     corpus = parse_transliteration(text)
     assert corpus.token_count() == 2100
     assert normalize(corpus, VMS).token_count() == 1500
-    with pytest.raises(ValueError, match="2000 tokens"):
+    with pytest.raises(ValueError, match="^corpus too small: 1500 tokens of at least "
+                                         "2 graphemes, need 2000$"):
         validate_signature(corpus, VMS)
 
 
