@@ -331,6 +331,8 @@ def _load_manifest(path: str) -> dict:
         isinstance(token, str) for token in manifest["argv"]
     ):
         problem = "'argv' must be a list of strings"
+    elif manifest["argv"][:1] == ["rerun"]:
+        problem = "'argv' is itself a rerun, which would rerun without end"
     else:
         return manifest
     raise ValueError(f"malformed manifest {path}: {problem}")

@@ -14,10 +14,12 @@ at render time. Type ids and words come from the corpus's type table,
 prefilter and the distance kernel. Grids for several target distances are
 computed in one pass, bounded by the largest distance:
 
-1. The corpus becomes one flat id array, each line padded with blank (-1)
-   cells to the longest line's length plus ``max_pos_offset``. Window cell
-   (i, j) is then one shift ``s = i * width - j``: targets ``flat[s:]`` meet
-   candidates ``flat[:-s]``, and a candidate off its line lands in padding.
+1. The corpus's id stream becomes one flat array, each line padded with
+   blank (-1) cells to twice the longest line's length, at most that plus
+   ``max_pos_offset``. Window cell (i, j) is one shift ``s = i * width - j``:
+   targets ``flat[s:]`` meet candidates ``flat[:-s]``, a candidate off its
+   line lands in padding, and a cell past the corpus or its longest line is
+   skipped.
 2. On these slices each cell counts its pair instances and, as distance-0
    matches, those of a type with itself. It gathers the others that the
    lower bounds of :func:`selfcite.editdist.within_lower_bounds`, read per
@@ -26,7 +28,8 @@ computed in one pass, bounded by the largest distance:
 3. One :func:`selfcite.editdist.bounded_distances` batch codes the window's
    distinct kept pairs.
 4. Each cell looks its keys up among the pairs within the bound only and
-   tallies their counts per distance with one ``bincount``.
+   sums their counts at each requested distance, so memory follows the
+   data, not the bound.
 
 numpy is imported inside the functions that use it, so importing this module
 (as the CLI does for every command) does not load it.
@@ -123,27 +126,27 @@ def _key_dtype(n_types: int):
 
 
 def _cell_keys(corpus: Corpus, spec: GridSpec, cells, bound: int):
-    """The :func:`word_arrays` table of the corpus's types, in type-table
-    order, and per window cell: its pair instances, its distance-0 matches,
-    and the distinct keys of its other instances within the lower bounds,
-    with a count each."""
+    """The :func:`word_arrays` table of the corpus's types, in id order, and
+    per window cell: its pair instances, its distance-0 matches, and the
+    distinct keys of its other instances within the lower bounds, with a
+    count each."""
     import numpy as np
 
-    table = corpus.types
-    segmentations = table.segmentations()
-    grapheme_ids = spec.alphabet.encode(chain.from_iterable(segmentations))
-    words = word_arrays(list(map(len, segmentations)), grapheme_ids, spec.alphabet)
+    segmentations = corpus.segmentations()
+    words = word_arrays(list(map(len, segmentations)),
+                        spec.alphabet.encode(chain.from_iterable(segmentations)),
+                        spec.alphabet)
     _, type_lengths, type_masks = words
     n_types = max(len(segmentations), 1)
     key_type = _key_dtype(n_types)
-    type_id = dict(zip(table.entries, range(len(segmentations))))
-    line_lengths = np.array([len(line.tokens) for line in corpus.lines])
-    width = int(line_lengths.max()) + spec.max_pos_offset
-    matrix = np.full((len(line_lengths), width), -1, dtype=np.int32)
-    ids = [type_id[token.raw] for line in corpus.lines for token in line.tokens]
-    matrix[np.arange(width) < line_lengths[:, None]] = ids
+    line_lengths = np.diff(corpus.offsets)
+    n_lines, widest = len(line_lengths), int(line_lengths.max())
+    # A cell past the widest line is skipped, so no shift needs more padding.
+    width = widest + min(spec.max_pos_offset, widest) or 1
+    matrix = np.full((n_lines, width), -1, dtype=np.int32)
+    matrix[np.arange(width) < line_lengths[:, None]] = np.frombuffer(corpus.ids, np.intc)
     if spec.drop_line_edges:  # column -1 of a token-less line is padding
-        matrix[:, 0] = matrix[np.arange(len(line_lengths)), line_lengths - 1] = -1
+        matrix[:, 0] = matrix[np.arange(n_lines), line_lengths - 1] = -1
     flat = matrix.ravel()
     indel = spec.alphabet.indel_cost
     filled = flat >= 0
@@ -153,10 +156,13 @@ def _cell_keys(corpus: Corpus, spec: GridSpec, cells, bound: int):
     lengths = np.append(np.minimum(type_lengths, 2**15 - 1), 0).astype(np.int16)[flat]
     folded = np.append(type_masks ^ type_masks >> 32, np.uint64(0))
     masks = folded.astype(np.uint32)[flat]
-    per_cell = []
+    per_cell, no_pairs = [], (0, 0, *_distinct(np.empty(0, key_type)))
     for i, j in cells:
+        if i >= n_lines or abs(j) >= widest:  # the shift lies past the data
+            per_cell.append(no_pairs)
+            continue
         s = i * width - j
-        target, cand = slice(s, None), slice(max(len(flat) - s, 0))
+        target, cand = slice(s, None), slice(len(flat) - s)
         a, b = flat[target], flat[cand]
         pairs = filled[target] & filled[cand]
         equal = a == b
@@ -182,7 +188,7 @@ def compute_grids(
     """
     import numpy as np
 
-    if not corpus.lines:
+    if not corpus.loci:
         raise ValueError("corpus has no lines")
     if not distances:
         raise ValueError("need at least one target distance")
@@ -203,10 +209,10 @@ def compute_grids(
     for cell, (pair_count, same_count, keys, counts) in zip(cells, per_cell):
         at = np.searchsorted(near_keys, keys)
         at[near_keys[at] != keys] = -1
-        tally = np.bincount(near_codes[at], weights=counts, minlength=bound + 2)
-        tally[0] += same_count  # plus any two raw words with equal graphemes
-        for d in distances:
-            grids[d][cell] = GridCell(pair_count, int(tally[d]))
+        found = near_codes[at]
+        for d in distances:  # plus, at 0, any two raw words with equal graphemes
+            matches = int(counts[found == d].sum()) + (same_count if d == 0 else 0)
+            grids[d][cell] = GridCell(pair_count, matches)
     return {d: CooccurrenceGrid(spec, grids[d]) for d in distances}
 
 

@@ -1,16 +1,14 @@
 """Corpus ingestion: transliteration and plaintext parsing, normalization.
 
-A corpus is an ordered sequence of lines, each carrying its locus (page,
-text-unit, line number) and tokens. Line order is source order, and after
-any filtering the remaining lines are treated as adjacent, so the first
-line of a page follows the last retained line of the previous page.
-
-Word types are counted here and nowhere else: :attr:`Corpus.types` is the
-corpus's :class:`TypeTable`, counted in one pass the first time it is read.
-It lists each distinct raw word in order of first occurrence, with its
-count and the graphemes of its first occurrence, and a type's id is its
-position in the table. The grid's type-id matrix, the network, the
-rank-frequency list and the character profile all read it.
+A :class:`Corpus` is held in columns: its word types (the distinct raw
+words in order of first occurrence, a type's id being its position, each
+with its graphemes once normalized), one id stream of all tokens cut into
+lines by offsets, and each line's locus (page, text-unit, line number) and
+paragraph id. Line order is source order; after any filtering the remaining
+lines are adjacent, so a page's first line follows the previous page's last
+retained line. Consumers read the columns, and no record per token is built
+to parse, normalize or analyse a corpus: :attr:`Corpus.lines`, of
+:class:`Line` and :class:`Token` records, is a view built on demand.
 
 Transliteration format (documented subset)
 ------------------------------------------
@@ -35,10 +33,12 @@ import io
 import re
 import string
 import unicodedata
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import takewhile
+from itertools import accumulate, chain, compress, takewhile
+from operator import ne
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -81,7 +81,8 @@ class Locus:
 
 @dataclass(frozen=True, slots=True)
 class Token:
-    """One word occurrence; graphemes are filled in by normalization."""
+    """A word type where it occurs: its raw word and its graphemes (None
+    until normalization)."""
 
     raw: str
     graphemes: tuple[str, ...] | None = None
@@ -119,27 +120,12 @@ class TypeTable:
     def from_corpus(cls, corpus: "Corpus", alphabet: Alphabet | None = None) -> "TypeTable":
         """The corpus's own table, :attr:`Corpus.types`, or, when ``alphabet``
         is given and some type is not segmented, a copy that it segments.
-        Raises as :meth:`segmentations` does if a type is left unsegmented."""
-        table = corpus.types
-        entries = table.entries
-        if alphabet is not None and not all(info.graphemes for info in entries.values()):
-            table = cls({
-                raw: TypeInfo(info.count, info.graphemes or alphabet.segment(raw))
-                for raw, info in entries.items()
-            })
-        table.segmentations()  # raises for a type left unsegmented
-        return table
-
-    def segmentations(self) -> list[tuple[str, ...]]:
-        """Each type's grapheme sequence, in table order; raises for a type
-        that is not segmented, since its corpus was never normalized."""
-        for raw, info in self.entries.items():
-            if info.graphemes is None:
-                raise ValueError(
-                    f"token {raw!r} has no grapheme segmentation; "
-                    "normalize the corpus first"
-                )
-        return [info.graphemes for info in self.entries.values()]
+        Raises as :meth:`Corpus.segmentations` if a type stays unsegmented."""
+        if alphabet is None or all(corpus.graphemes):
+            corpus.segmentations()  # raises for a type left unsegmented
+            return corpus.types
+        return cls({raw: TypeInfo(info.count, info.graphemes or alphabet.segment(raw))
+                    for raw, info in corpus.types.entries.items()})
 
     def grapheme_counts(self) -> Counter:
         """Occurrences of each grapheme across all tokens."""
@@ -152,27 +138,82 @@ class TypeTable:
 
 @dataclass(frozen=True)
 class Corpus:
-    lines: tuple[Line, ...]
+    """A corpus in columns (see the module docstring): line ``n`` holds the
+    type ids ``ids[offsets[n]:offsets[n + 1]]``, a read-only memoryview of C
+    ints, sits at ``loci[n]`` and is in paragraph ``paragraph_ids[n]``."""
+
+    words: tuple[str, ...]
+    graphemes: tuple[tuple[str, ...] | None, ...]
+    ids: memoryview
+    offsets: tuple[int, ...]
+    loci: tuple[Locus, ...]
+    paragraph_ids: tuple[int, ...]
+
+    @classmethod
+    def from_rows(cls, records: Iterable[tuple[Locus, list[int], int]], words: Iterable[str],
+                  graphemes: Iterable | None = None) -> "Corpus":
+        """The corpus of (locus, type ids, paragraph id) line records in source
+        order; ids follow first occurrence and index ``words`` and ``graphemes``."""
+        loci, rows, paragraph_ids = tuple(zip(*records)) or ((), (), ())
+        words = tuple(words)
+        ids = memoryview(array("i", chain.from_iterable(rows))).toreadonly()
+        return cls(words, (None,) * len(words) if graphemes is None else tuple(graphemes), ids,
+                   tuple(accumulate(map(len, rows), initial=0)), loci, paragraph_ids)
+
+    def relabeled(self, records: Iterable[tuple[Locus, Iterable[int], int]]) -> "Corpus":
+        """:meth:`from_rows` of records holding this corpus's ids, with the
+        types they hold renumbered by first occurrence and the rest dropped."""
+        order: dict[int, int] = {}  # old type id -> new type id
+        records = [(locus, [order.setdefault(k, len(order)) for k in row], para_id)
+                   for locus, row, para_id in records]
+        return self.from_rows(records, map(self.words.__getitem__, order),
+                              list(map(self.graphemes.__getitem__, order)))
 
     def token_count(self) -> int:
-        return sum(len(line.tokens) for line in self.lines)
+        return len(self.ids)
 
-    def iter_tokens(self) -> Iterator[Token]:
-        for line in self.lines:
-            yield from line.tokens
+    def line_ids(self) -> Iterator[memoryview]:
+        """Each line's slice of :attr:`ids`, in line order."""
+        return map(self.ids.__getitem__, map(slice, self.offsets, self.offsets[1:]))
+
+    def paragraph_flags(self) -> Iterator[tuple[bool, bool]]:
+        """Per line, (paragraph-initial, paragraph-final) from its neighbours' ids."""
+        ids = self.paragraph_ids
+        return zip(map(ne, (None, *ids), ids), map(ne, ids, (*ids[1:], None)))
+
+    def segmentations(self) -> tuple[tuple[str, ...], ...]:
+        """:attr:`graphemes`; raises naming the first type without any, since
+        the corpus was never normalized."""
+        if None in self.graphemes:
+            raise ValueError(
+                f"token {self.words[self.graphemes.index(None)]!r} has no "
+                "grapheme segmentation; normalize the corpus first"
+            )
+        return self.graphemes
+
+    @cached_property
+    def counts(self) -> tuple[int, ...]:
+        """Occurrences of each type, in id order."""
+        found = Counter(self.ids)
+        return tuple(map(found.__getitem__, range(len(self.words))))
 
     @cached_property
     def types(self) -> TypeTable:
-        """The corpus's word types, counted on first read (see the module
-        docstring). Occurrences of a word are matched on ``raw``, so equal
-        tokens need not be one object. Not a field: equality ignores it."""
-        found: dict[str, list] = {}  # raw word -> [count, first graphemes]
-        for token in self.iter_tokens():
-            if (seen := found.get(token.raw)) is None:
-                found[token.raw] = [1, token.graphemes]
-            else:
-                seen[0] += 1
-        return TypeTable({raw: TypeInfo(*seen) for raw, seen in found.items()})
+        """The :class:`TypeTable` of the columns, built on first read; not a field."""
+        return TypeTable(dict(zip(self.words, map(TypeInfo, self.counts, self.graphemes))))
+
+    @cached_property
+    def lines(self) -> tuple[Line, ...]:
+        """:class:`Line` records, built on first read; a type is one :class:`Token`."""
+        tokens = tuple(map(Token, self.words, self.graphemes))
+        return tuple(
+            Line(locus, tuple(map(tokens.__getitem__, row)), initial, final, para_id)
+            for locus, row, (initial, final), para_id in zip(
+                self.loci, self.line_ids(), self.paragraph_flags(), self.paragraph_ids)
+        )
+
+    def iter_tokens(self) -> Iterator[Token]:
+        return chain.from_iterable(line.tokens for line in self.lines)
 
 
 _LOCUS_RE = re.compile(
@@ -236,20 +277,14 @@ def require_strings(name: str, value) -> tuple[str, ...]:
     return tuple(value)
 
 
-#: One retained source line: its locus, its tokens and its paragraph id.
-LineRecord = tuple[Locus, tuple[Token, ...], int]
-
-
-def assemble_corpus(records: list[LineRecord]) -> Corpus:
-    """Build a corpus from line records given in source order; each line's
-    paragraph-initial and paragraph-final flags follow from the paragraph
-    ids of its neighbours."""
-    lines = []
-    for idx, (locus, tokens, para_id) in enumerate(records):
-        initial = idx == 0 or records[idx - 1][2] != para_id
-        final = idx == len(records) - 1 or records[idx + 1][2] != para_id
-        lines.append(Line(locus, tokens, initial, final, para_id))
-    return Corpus(tuple(lines))
+def assemble_corpus(records: list[tuple[Locus, tuple[Token, ...], int]]) -> Corpus:
+    """Build a corpus from (locus, tokens, paragraph id) line records given
+    in source order; a word's graphemes are those of its first occurrence."""
+    types: dict[str, int] = {}  # raw word -> type id
+    rows = [(locus, [types.setdefault(t.raw, len(types)) for t in tokens], para_id)
+            for locus, tokens, para_id in records]
+    first = {t.raw: t.graphemes for _, tokens, _ in reversed(records) for t in reversed(tokens)}
+    return Corpus.from_rows(rows, types, list(map(first.__getitem__, types)))
 
 
 def parse_transliteration(text: str, units: frozenset[str] | None = None) -> Corpus:
@@ -259,10 +294,10 @@ def parse_transliteration(text: str, units: frozenset[str] | None = None) -> Cor
     paragraph text and drops labels); None keeps every locus. Raises
     :class:`ParseError` for content lines without a well-formed locus tag
     (or with line number 0), and :class:`EmptyCorpusError` when nothing
-    remains. All occurrences of a word share one :class:`Token`.
+    remains.
     """
-    by_raw: dict[str, Token] = {}
-    records: list[LineRecord] = []
+    records = []
+    types: dict[str, int] = {}  # raw word -> type id
     para_id = -1
     prev_page: str | None = None
     prev_unit: str | None = None
@@ -290,7 +325,6 @@ def parse_transliteration(text: str, units: frozenset[str] | None = None) -> Cor
         body = _BRACE_RE.sub("", stripped[match.end():])
         ends_paragraph = body.rstrip().endswith("=")
         body = body.replace("!", "").replace("%", "")
-        token_strings = [t for t in _SEPARATORS_RE.split(body) if t]
 
         if units is not None and locus.unit_kind not in units:
             pending_break = True
@@ -298,17 +332,15 @@ def parse_transliteration(text: str, units: frozenset[str] | None = None) -> Cor
 
         if locus.page != prev_page or pending_break or locus.unit != prev_unit:
             para_id += 1
-        tokens = tuple(
-            by_raw.get(t) or by_raw.setdefault(t, Token(t)) for t in token_strings
-        )
-        records.append((locus, tokens, para_id))
+        row = [types.setdefault(t, len(types)) for t in _SEPARATORS_RE.split(body) if t]
+        records.append((locus, row, para_id))
         prev_page = locus.page
         prev_unit = locus.unit
         pending_break = ends_paragraph
 
     if not records:
         raise EmptyCorpusError("empty corpus")
-    return assemble_corpus(records)
+    return Corpus.from_rows(records, types)
 
 
 def parse_plaintext(text: str) -> Corpus:
@@ -317,71 +349,47 @@ def parse_plaintext(text: str) -> Corpus:
     Tokens are split on whitespace, stripped of punctuation at their edges
     and case folded; lines left empty are dropped. Blank source lines
     separate paragraphs. The whole text is treated as a single page "text".
-    All occurrences of a word share one :class:`Token`.
     """
-    by_raw: dict[str, Token] = {}
-    records: list[LineRecord] = []
+    records = []
+    types: dict[str, int] = {}  # raw word -> type id
     para_id = 0
     pending_break = False
-    line_no = 0
     for raw_line in unicodedata.normalize("NFC", text).splitlines():
         if not raw_line.strip():
             pending_break = True
             continue
-        tokens = []
-        for word in raw_line.split():
-            word = word.strip(_EDGE_PUNCT).casefold()
-            if not word:
-                continue
-            tokens.append(by_raw.get(word) or by_raw.setdefault(word, Token(word)))
-        if not tokens:
+        words = [w.strip(_EDGE_PUNCT).casefold() for w in raw_line.split()]
+        if not (row := [types.setdefault(w, len(types)) for w in words if w]):
             pending_break = True
             continue
         if pending_break and records:
             para_id += 1
         pending_break = False
-        line_no += 1
-        locus = Locus(page="text", unit="L", line_no=line_no, raw_tag="")
-        records.append((locus, tuple(tokens), para_id))
+        locus = Locus(page="text", unit="L", line_no=len(records) + 1, raw_tag="")
+        records.append((locus, row, para_id))
     if not records:
         raise EmptyCorpusError("empty corpus")
-    return assemble_corpus(records)
+    return Corpus.from_rows(records, types)
 
 
 def normalize(corpus: Corpus, alphabet: Alphabet, min_graphemes: int = 2) -> Corpus:
-    """Segment every distinct word and drop tokens shorter than ``min_graphemes``.
+    """Segment every word type and drop tokens shorter than ``min_graphemes``.
 
-    Each distinct raw word is segmented once, and all its occurrences share
-    one segmented :class:`Token`. Lines left without tokens are removed;
-    paragraph flags are rederived so each surviving paragraph still has an
+    Every type is segmented in one :meth:`Alphabet.segment_all` call; kept
+    types keep their order, so ids still follow first occurrence. Lines left
+    without tokens are removed, and each surviving paragraph still has an
     initial and a final line. Idempotent. Raises
     :class:`selfcite.editdist.SegmentationError` for words the alphabet
     cannot segment, and :class:`EmptyCorpusError` when no token is left.
     """
-    # raw word -> its segmented token, or None when it is too short to keep
-    by_raw: dict[str, Token | None] = {}
-    kept: list[LineRecord] = []
-    for line in corpus.lines:
-        tokens = []
-        for token in line.tokens:
-            try:
-                segmented = by_raw[token.raw]
-            except KeyError:
-                graphemes = alphabet.segment(token.raw)
-                segmented = by_raw[token.raw] = (
-                    Token(token.raw, graphemes)
-                    if len(graphemes) >= min_graphemes
-                    else None
-                )
-            if segmented is not None:
-                tokens.append(segmented)
-        if tokens:
-            kept.append((line.locus, tuple(tokens), line.paragraph_id))
-    if not kept:
-        raise EmptyCorpusError(
-            f"empty corpus: no token has at least {min_graphemes} graphemes"
-        )
-    return assemble_corpus(kept)
+    segmented = alphabet.segment_all(corpus.words)
+    keep = [len(graphemes) >= min_graphemes for graphemes in segmented]
+    # old type id -> new id, or -1 when dropped; kept types keep their order
+    renumber = [n - 1 if kept else -1 for n, kept in zip(accumulate(keep), keep)]
+    rows = ([k for k in map(renumber.__getitem__, row) if k >= 0] for row in corpus.line_ids())
+    if not (lines := [line for line in zip(corpus.loci, rows, corpus.paragraph_ids) if line[1]]):
+        raise EmptyCorpusError(f"empty corpus: no token has at least {min_graphemes} graphemes")
+    return Corpus.from_rows(lines, compress(corpus.words, keep), compress(segmented, keep))
 
 
 def filter_pages(corpus: Corpus, pages: Iterable[str]) -> Corpus:
@@ -393,11 +401,11 @@ def filter_pages(corpus: Corpus, pages: Iterable[str]) -> Corpus:
     page_set = frozenset(pages)
     if not page_set:
         raise ValueError("pages must be a nonempty set")
-    kept = [(line.locus, line.tokens, line.paragraph_id)
-            for line in corpus.lines if line.locus.page in page_set]
+    kept = [line for line in zip(corpus.loci, corpus.line_ids(), corpus.paragraph_ids)
+            if line[0].page in page_set]
     if not kept:
         raise EmptyCorpusError("no lines match")
-    return assemble_corpus(kept)
+    return corpus.relabeled(kept)
 
 
 def format_transliteration(corpus: Corpus) -> str:
@@ -406,12 +414,11 @@ def format_transliteration(corpus: Corpus) -> str:
     Paragraph boundaries become blank lines, so parsing the output yields
     the same tokens and paragraph structure.
     """
+    words = corpus.words
     out: list[str] = []
-    for line in corpus.lines:
-        if line.paragraph_initial and out:
+    for locus, row, (initial, _) in zip(corpus.loci, corpus.line_ids(), corpus.paragraph_flags()):
+        if initial and out:
             out.append("")
-        tag = line.locus.raw_tag or (
-            f"<{line.locus.page}.{line.locus.unit}.{line.locus.line_no}>"
-        )
-        out.append(f"{tag} {'.'.join(tok.raw for tok in line.tokens)}")
+        tag = locus.raw_tag or f"<{locus.page}.{locus.unit}.{locus.line_no}>"
+        out.append(f"{tag} {'.'.join(map(words.__getitem__, row))}")
     return "\n".join(out) + "\n"

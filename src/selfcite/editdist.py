@@ -24,6 +24,7 @@ Its reference is the scalar banded DP ``oracle_bounded_distance`` in
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -173,6 +174,23 @@ class Alphabet:
             else:
                 raise SegmentationError(raw, pos)
         return tuple(out)
+
+    def segment_all(self, raws: Sequence[str]) -> list[tuple[str, ...]]:
+        """:meth:`segment` of each word, from one longest-first regex scan of
+        them all joined by "\n" (which no word holds). A gap in the matches
+        means some word fails: word by word, the first raises."""
+        text = "\n".join(raws)
+        longest = sorted((g for g in self.graphemes if "\n" not in g), key=len, reverse=True)
+        found = re.findall("|".join(map(re.escape, longest)) + "|\n", text)
+        if "".join(found) != text:
+            return [self.segment(raw) for raw in raws]
+        found.append("\n")
+        out, start = [], 0
+        for _ in raws:
+            end = found.index("\n", start)
+            out.append(tuple(found[start:end]))
+            start = end + 1
+        return out
 
 
 def are_similar(a: str, b: str, alphabet: Alphabet) -> bool:

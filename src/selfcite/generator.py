@@ -24,16 +24,13 @@ from bisect import bisect
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
-from itertools import accumulate, chain, count, islice, repeat
+from itertools import accumulate, chain, count, repeat
 from pathlib import Path
 
 from selfcite.corpus import (
     Corpus,
     EmptyCorpusError,
-    LineRecord,
     Locus,
-    Token,
-    assemble_corpus,
     normalize,
     read_text,
     require_int,
@@ -286,14 +283,6 @@ def _canonical(
     return graphemes
 
 
-def _token(word: tuple[str, ...], made: dict[tuple[str, ...], Token]) -> Token:
-    """The one token of ``word`` in ``made``, created on first use."""
-    token = made.get(word)
-    if token is None:
-        token = made[word] = Token(raw="".join(word), graphemes=word)
-    return token
-
-
 @lru_cache(maxsize=4096)
 def _line_weights(bias: str, i: int, length: int, m: int) -> tuple[float, ...]:
     """Kernel weights of the words of the line ``i`` lines above the current
@@ -343,12 +332,12 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
     kind_tables = _kind_tables(params)
     partners = alphabet.similar_partners
     segmented: dict[str, tuple[str, ...]] = {}
-    made: dict[tuple[str, ...], Token] = {}
+    types: dict[tuple[str, ...], int] = {}  # a word's graphemes -> its type id
     rng = random.Random(params.rng_seed)
     history: list[list[tuple[str, ...]]] = []
     emitted = 0
 
-    lines: list[LineRecord] = []
+    lines: list[tuple[Locus, list[int], int]] = []
     page_no = 1
     page_lines = 0
     para_id = 0
@@ -427,25 +416,24 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
                     line_no=page_lines,
                     raw_tag=f"<g{page_no:03d}.P.{page_lines}>",
                 )
-                tokens = tuple(_token(word, made) for word in current)
-                lines.append((locus, tokens, para_id))
+                lines.append((locus, [types.setdefault(w, len(types)) for w in current], para_id))
                 history.append(current)
         para_id += 1
 
-    return assemble_corpus(lines)
+    # Words are canonical segmentations, so distinct ones join to distinct raw words.
+    return Corpus.from_rows(lines, map("".join, types), types)
 
 
 def shuffle_control(corpus: Corpus, rng_seed: int) -> Corpus:
-    """Uniformly permute all tokens, preserving every line's token count."""
-    if not corpus.lines:
+    """Uniformly permute all tokens, preserving every line's token count. The
+    id stream is shuffled as the token list was: the permutation depends on
+    the length alone."""
+    if not corpus.loci:
         raise ValueError("empty corpus")
-    tokens = list(corpus.iter_tokens())
-    random.Random(rng_seed).shuffle(tokens)
-    shuffled = iter(tokens)
-    return Corpus(tuple(
-        replace(line, tokens=tuple(islice(shuffled, len(line.tokens))))
-        for line in corpus.lines
-    ))
+    ids = list(corpus.ids)
+    random.Random(rng_seed).shuffle(ids)
+    rows = map(ids.__getitem__, map(slice, corpus.offsets, corpus.offsets[1:]))
+    return corpus.relabeled(zip(corpus.loci, rows, corpus.paragraph_ids))
 
 
 @dataclass(frozen=True)

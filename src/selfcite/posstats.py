@@ -2,9 +2,9 @@
 
 All rates are reported with their sample sizes: a :class:`Rate` keeps the
 raw hit/total counts and exposes the fraction. Word lengths are measured in
-graphemes, so the corpus must be normalized first. The rank-frequency list
-sorts the counts of the corpus's type table, :attr:`Corpus.types`; no word
-type is counted here.
+graphemes, so the corpus must be normalized first. Both reports read the
+corpus's columns: each line's type ids, and each type's graphemes and count
+(:attr:`Corpus.counts`); no word type is counted here.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def positional_stats(
     over lines with at least two tokens.
     """
     # segmentations() also raises unless the corpus was normalized
-    if not corpus.types.segmentations():
+    if not (graphemes := corpus.segmentations()):
         raise ValueError("empty corpus")
 
     para_first = [0, 0]
@@ -112,14 +112,14 @@ def positional_stats(
     second = {"shorter": 0, "longer": 0, "pairs": 0, "subgroup": 0}
     internal_sub = [0, 0]
 
-    for line in corpus.lines:
-        if not line.tokens:
+    for row, (paragraph_initial, _) in zip(corpus.line_ids(), corpus.paragraph_flags()):
+        if not row:
             continue
-        words = [t.graphemes for t in line.tokens]
+        words = list(map(graphemes.__getitem__, row))
         for m, word in enumerate(words):
             total_len += len(word)
             total_tokens += 1
-            if line.paragraph_initial:
+            if paragraph_initial:
                 parafirst_len += len(word)
                 parafirst_tokens += 1
             bucket = line_first if m == 0 else line_internal
@@ -136,7 +136,7 @@ def positional_stats(
                 internal_sub[0] += 1
             if m >= 2:
                 internal_sub[1] += 1
-        if line.paragraph_initial:
+        if paragraph_initial:
             para_first[1] += 1
             if words[0][0] in gallows:
                 para_first[0] += 1
@@ -171,6 +171,5 @@ def positional_stats(
 
 def rank_frequency(corpus: Corpus) -> list[tuple[int, str, int]]:
     """Types by descending count, ties broken lexicographically, ranks 1-based."""
-    entries = corpus.types.entries
-    ordered = sorted(entries, key=lambda word: (-entries[word].count, word))
-    return [(rank, word, entries[word].count) for rank, word in enumerate(ordered, start=1)]
+    ordered = sorted(zip(corpus.words, corpus.counts), key=lambda wc: (-wc[1], wc[0]))
+    return [(rank, word, count) for rank, (word, count) in enumerate(ordered, start=1)]

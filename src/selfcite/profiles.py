@@ -114,7 +114,7 @@ def load_profile(spec: str | Path) -> Profile:
 
 def profile_from_corpus(corpus: Corpus) -> Profile:
     """Single-character profile over the characters observed in a corpus."""
-    chars = sorted(set("".join(corpus.types.entries)))
+    chars = sorted(set("".join(corpus.words)))
     if not chars:
         raise EmptyCorpusError("empty corpus")
     alphabet = Alphabet.single_characters(chars)

@@ -4,13 +4,17 @@ These stay deliberately naive: the recursive distance explores every edit
 at every step, the scalar banded distance walks one pair's rows in plain
 Python, the grid recount walks every token pair with nested loops,
 and the network oracle compares every pair of types whose lengths differ by
-at most one. The parse oracle builds one token per occurrence, the
-normalization oracle segments every occurrence, and the generator oracles
+at most one. The corpus oracles work on :class:`Line` records, as the
+library did before its corpus became columnar: the parse oracles build one
+token per occurrence, the normalization oracle segments every occurrence,
+and the page filter and shuffle oracles cut and permute the records; the
+library's views (``Corpus.lines``, ``Corpus.types``) must match them. The
+generator oracles
 call the source kernel once per candidate, rebuild each distribution's
 weights per draw and refilter the mutation kinds per edit, all drawing with
 ``rng.choices``; the library's tables built once per ``generate`` call must
-match them RNG call for RNG call. Apart from the kernel table, the corpus data classes and
-``assemble_corpus``, none shares code with the library internals it
+match them RNG call for RNG call. Apart from the kernel table and the
+corpus record classes, none shares code with the library internals it
 checks. The hand-enumerated grid cases live here too, shared between the
 unit tests and the acceptance suite, and so does ``batch_distances``, which
 runs a test's many pairs through the library's batched distance in one call,
@@ -19,11 +23,14 @@ and ``id_table``, the library's word table of a list of id sequences.
 
 from __future__ import annotations
 
+import random
 import re
+import string
+import unicodedata
 from dataclasses import replace
-from itertools import chain
+from itertools import chain, islice
 
-from selfcite.corpus import Corpus, Locus, ParseError, Token, assemble_corpus
+from selfcite.corpus import Corpus, Line, Locus, ParseError, Token
 from selfcite.editdist import Alphabet, are_similar, bounded_distances, word_arrays
 from selfcite.generator import SOURCE_BIAS_KERNELS
 
@@ -238,10 +245,21 @@ def bucket_edges(nodes: dict[str, tuple[str, ...]], alphabet: Alphabet):
 
 
 _ORACLE_LOCUS = re.compile(r"<([^<>.;,\s]+)\.([^<>.;,\s]+)\.(\d+)(?:;[^<>]*)?>")
+_ORACLE_EDGE_PUNCT = string.punctuation + "‘’“”«»–—…"
 
 
-def oracle_parse_transliteration(text: str, units: frozenset[str] | None = None) -> Corpus:
-    """Transliteration parsing with a fresh token for every occurrence."""
+def _oracle_lines(records) -> tuple[Line, ...]:
+    """Lines of (locus, tokens, paragraph id) records in source order, each
+    flagged paragraph-initial or -final from its neighbours' paragraph ids."""
+    return tuple(
+        Line(locus, tokens, n == 0 or records[n - 1][2] != para_id,
+             n == len(records) - 1 or records[n + 1][2] != para_id, para_id)
+        for n, (locus, tokens, para_id) in enumerate(records)
+    )
+
+
+def oracle_parse_transliteration(text: str, units: frozenset[str] | None = None):
+    """Transliteration parsing into lines, a fresh token for every occurrence."""
     records = []
     para_id = -1
     prev = None  # (page, unit) of the previous kept line
@@ -272,13 +290,36 @@ def oracle_parse_transliteration(text: str, units: frozenset[str] | None = None)
         pending_break = ends_paragraph
     if not records:
         raise ValueError("empty corpus")
-    return assemble_corpus(records)
+    return _oracle_lines(records)
 
 
-def oracle_normalize(corpus: Corpus, alphabet: Alphabet, min_graphemes: int) -> Corpus:
-    """Normalization segmenting every token occurrence on its own."""
+def oracle_parse_plaintext(text: str):
+    """Plaintext parsing into lines, a fresh token for every occurrence."""
+    records = []
+    para_id = 0
+    pending_break = False
+    for raw_line in unicodedata.normalize("NFC", text).splitlines():
+        if not raw_line.strip():
+            pending_break = True
+            continue
+        words = [w.strip(_ORACLE_EDGE_PUNCT).casefold() for w in raw_line.split()]
+        tokens = tuple(Token(w) for w in words if w)
+        if not tokens:
+            pending_break = True
+            continue
+        if pending_break and records:
+            para_id += 1
+        pending_break = False
+        records.append((Locus("text", "L", len(records) + 1, ""), tokens, para_id))
+    if not records:
+        raise ValueError("empty corpus")
+    return _oracle_lines(records)
+
+
+def oracle_normalize(lines, alphabet: Alphabet, min_graphemes: int):
+    """Normalization of lines, segmenting every token occurrence on its own."""
     kept = []
-    for line in corpus.lines:
+    for line in lines:
         tokens = []
         for token in line.tokens:
             graphemes = alphabet.segment(token.raw)
@@ -288,7 +329,35 @@ def oracle_normalize(corpus: Corpus, alphabet: Alphabet, min_graphemes: int) -> 
             kept.append((line.locus, tuple(tokens), line.paragraph_id))
     if not kept:
         raise ValueError("empty corpus")
-    return assemble_corpus(kept)
+    return _oracle_lines(kept)
+
+
+def oracle_filter_pages(lines, pages):
+    """The lines on ``pages``, reflagged as adjacent lines."""
+    kept = [(line.locus, line.tokens, line.paragraph_id)
+            for line in lines if line.locus.page in pages]
+    if not kept:
+        raise ValueError("no lines match")
+    return _oracle_lines(kept)
+
+
+def oracle_shuffle_control(lines, rng_seed: int):
+    """Every token shuffled as one list, then cut back into the lines."""
+    tokens = [token for line in lines for token in line.tokens]
+    random.Random(rng_seed).shuffle(tokens)
+    shuffled = iter(tokens)
+    return tuple(replace(line, tokens=tuple(islice(shuffled, len(line.tokens))))
+                 for line in lines)
+
+
+def oracle_type_rows(lines):
+    """(raw word, count, graphemes of its first occurrence) per word type of
+    ``lines``, in order of first occurrence."""
+    counts: dict[str, list] = {}
+    for line in lines:
+        for token in line.tokens:
+            counts.setdefault(token.raw, [0, token.graphemes])[0] += 1
+    return [(raw, n, graphemes) for raw, (n, graphemes) in counts.items()]
 
 
 def oracle_pick_source(history, current_line, m, rng, params):

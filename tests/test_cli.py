@@ -616,6 +616,20 @@ def test_rerun_malformed_manifest_is_data_error(content, tmp_path, capsys):
     assert not (tmp_path / "rerun").exists()
 
 
+def test_rerun_of_a_rerun_manifest_is_data_error(tmp_path, monkeypatch, capsys):
+    # a manifest whose argv reruns that manifest would recurse without end
+    monkeypatch.chdir(tmp_path)
+    Path("m.json").write_text(json.dumps({
+        "argv": ["rerun", "m.json", "--out-dir", "d"], "inputs": [], "outputs": [],
+    }), encoding="utf-8")
+    code = main(["rerun", "m.json", "--out-dir", "d"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed manifest m.json: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 # Runs in a fresh interpreter, so modules the test session imported do not
 # count: every command but grid and validate must leave numpy unloaded.
 NUMPY_FREE_SCRIPT = """

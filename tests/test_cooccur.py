@@ -18,7 +18,7 @@ from selfcite.cooccur import (
     summarize_decay,
 )
 from selfcite.corpus import Locus, Token, assemble_corpus, normalize, parse_transliteration
-from selfcite.editdist import Alphabet
+from selfcite.editdist import Alphabet, within_lower_bounds
 from selfcite.generator import GeneratorParams, generate, shuffle_control
 from selfcite.profiles import load_profile
 
@@ -34,17 +34,15 @@ def _corpus(lines, alphabet, min_graphemes=1):
     return normalize(parse_transliteration(text), alphabet, min_graphemes)
 
 
-def _segmented(text, alphabet):
-    """The parsed transliteration with each token segmented in place, so that
-    token-less lines stay (normalize would drop them)."""
-    parsed = parse_transliteration(text)
-    return replace(parsed, lines=tuple(
-        replace(line, tokens=tuple(
-            replace(token, graphemes=alphabet.segment(token.raw))
-            for token in line.tokens
-        ))
-        for line in parsed.lines
-    ))
+def _segmented(text, segment):
+    """The parsed transliteration with each token's graphemes set to
+    ``segment(raw)``, so that token-less lines stay (normalize would drop
+    them)."""
+    return assemble_corpus([
+        (line.locus, tuple(replace(token, graphemes=segment(token.raw))
+                           for token in line.tokens), line.paragraph_id)
+        for line in parse_transliteration(text).lines
+    ])
 
 
 def _counts(grid):
@@ -103,7 +101,7 @@ def test_single_line_corpus_has_blank_previous_rows():
 def test_token_less_lines_still_count_as_lines():
     # a line with a locus but no tokens shifts the window like any other line
     # (normalize would drop that line, so segment the tokens in place)
-    corpus = _segmented("<p1.P.1> x.y\n<p1.P.2>\n<p1.P.3> x.z", XYZ)
+    corpus = _segmented("<p1.P.1> x.y\n<p1.P.2>\n<p1.P.3> x.z", XYZ.segment)
     spec = GridSpec(alphabet=XYZ, max_line_offset=2, max_pos_offset=1)
     grid = compute_grid(corpus, spec)
     assert grid.cells[(1, 0)].pair_count == 0
@@ -114,7 +112,7 @@ def test_token_less_lines_still_count_as_lines():
 
 
 def test_corpus_of_token_less_lines_has_no_pairs():
-    corpus = _segmented("<p1.P.1>\n<p1.P.2>", XYZ)
+    corpus = _segmented("<p1.P.1>\n<p1.P.2>", XYZ.segment)
     spec = GridSpec(alphabet=XYZ, max_line_offset=2, max_pos_offset=1)
     for grid in compute_grids(corpus, spec, (0, 1)).values():
         assert all(cell.pair_count == 0 for cell in grid.cells.values())
@@ -123,14 +121,8 @@ def test_corpus_of_token_less_lines_has_no_pairs():
 def test_raw_words_with_equal_graphemes_match_at_distance_zero():
     # types are keyed on the raw word, so a hand-built corpus can hold two
     # types spelled alike; their pairs still count as identical
-    parsed = parse_transliteration("<p1.P.1> xy.XY.yz\n<p1.P.2> XY.xy")
-    corpus = replace(parsed, lines=tuple(
-        replace(line, tokens=tuple(
-            replace(token, graphemes=XYZ.segment(token.raw.lower()))
-            for token in line.tokens
-        ))
-        for line in parsed.lines
-    ))
+    corpus = _segmented("<p1.P.1> xy.XY.yz\n<p1.P.2> XY.xy",
+                        lambda raw: XYZ.segment(raw.lower()))
     grids = compute_grids(corpus, GridSpec(alphabet=XYZ, max_line_offset=1,
                                            max_pos_offset=2), (0, 1, 2))
     for d, grid in grids.items():
@@ -160,8 +152,7 @@ def test_row_zero_right_side_excluded():
 
 
 def test_empty_corpus_rejected():
-    corpus = _corpus([["x"]], XYZ)
-    empty = corpus.__class__(lines=())
+    empty = assemble_corpus([])
     with pytest.raises(ValueError, match="no lines"):
         compute_grid(empty, GridSpec(alphabet=XYZ))
 
@@ -276,8 +267,8 @@ def test_prefilter_conservation_against_brute_force(name, drop):
 
 
 @pytest.mark.parametrize("drop", [False, True], ids=["all", "drop_edges"])
-@pytest.mark.parametrize("rows,cols", [(3, 5), (8, 2), (9, 7)],
-                         ids=["widest_line", "all_lines", "both_beyond"])
+@pytest.mark.parametrize("rows,cols", [(3, 5), (8, 2), (9, 7), (40, 60)],
+                         ids=["widest_line", "all_lines", "both_beyond", "far_beyond"])
 def test_windows_beyond_the_corpus_match_brute_force(rows, cols, drop):
     # a window as wide as the widest line reaches past a line's start into
     # the previous line's padding, and one as deep as the corpus past its
@@ -290,12 +281,46 @@ def test_windows_beyond_the_corpus_match_brute_force(rows, cols, drop):
         + ".".join(rng.choice(vocabulary) for _ in range(n))
         for k, n in enumerate([5, 1, 0, 3, 2, 4, 1, 5])
     )
-    corpus = _segmented(text, alphabet)
+    corpus = _segmented(text, alphabet.segment)
     spec = GridSpec(alphabet=alphabet, max_line_offset=rows, max_pos_offset=cols,
                     drop_line_edges=drop)
     for d, grid in compute_grids(corpus, spec, (0, 1, 2)).items():
         recount = brute_force_grid_counts(corpus, alphabet, rows, cols, d, drop)
         assert _counts(grid) == recount, d
+
+
+def test_cells_past_the_data_are_skipped(monkeypatch):
+    # rows past the last line and columns past the widest line hold no pair,
+    # so only the 2 + 5 cells of rows 0 and 1 with |j| < 3 run the bounds
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return within_lower_bounds(*args)
+
+    monkeypatch.setattr(cooccur, "within_lower_bounds", counted)
+    corpus = _corpus([["x", "yx", "z"], ["xy", "z"]], XYZ)
+    spec = GridSpec(alphabet=XYZ, max_line_offset=50, max_pos_offset=40)
+    grid = compute_grid(corpus, spec, 1)
+    assert len(calls) == 7
+    assert _counts(grid) == brute_force_grid_counts(corpus, XYZ, 50, 40, 1)
+
+
+def test_huge_distance_allocates_by_the_data():
+    # the tally holds a slot per requested distance, not one per distance up
+    # to the largest: at 10**6 that took 8 MB per cell
+    corpus = _corpus([["x", "xy", "y"], ["yz", "x", "zz"]], XYZ)
+    spec = GridSpec(alphabet=XYZ, max_line_offset=2, max_pos_offset=2)
+    compute_grids(corpus, spec, (0, 1))  # numpy's lazy set-up, outside the trace
+    tracemalloc.start()
+    try:
+        grids = compute_grids(corpus, spec, (0, 2, 10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000, peak
+    for d, grid in grids.items():
+        assert _counts(grid) == brute_force_grid_counts(corpus, XYZ, 2, 2, d), d
 
 
 def test_long_tokens_keep_their_lengths():

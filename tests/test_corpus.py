@@ -24,7 +24,14 @@ from selfcite.network import TypeTable, build_graph
 from selfcite.posstats import positional_stats, rank_frequency
 from selfcite.profiles import load_profile
 
-from helpers import oracle_normalize, oracle_parse_transliteration
+from helpers import (
+    oracle_filter_pages,
+    oracle_normalize,
+    oracle_parse_plaintext,
+    oracle_parse_transliteration,
+    oracle_shuffle_control,
+    oracle_type_rows,
+)
 
 VMS = load_profile("vms").alphabet
 
@@ -160,7 +167,7 @@ def test_parse_matches_per_token_oracle(lines, units):
             parse_transliteration(text, units)
         return
     corpus = parse_transliteration(text, units)
-    assert corpus == expected
+    assert corpus.lines == expected
     shared = {}
     for token in corpus.iter_tokens():
         assert shared.setdefault(token.raw, token) is token
@@ -291,13 +298,13 @@ def test_normalize_matches_per_token_oracle(token_lines, min_graphemes):
     )
     corpus = parse_transliteration(text)
     try:
-        expected = oracle_normalize(corpus, VMS, min_graphemes)
+        expected = oracle_normalize(corpus.lines, VMS, min_graphemes)
     except ValueError:
         with pytest.raises(ValueError, match="empty corpus"):
             normalize(corpus, VMS, min_graphemes)
         return
     once = normalize(corpus, VMS, min_graphemes)
-    assert once == expected
+    assert once.lines == expected
     assert normalize(once, VMS, min_graphemes) == once
 
 
@@ -378,11 +385,12 @@ def test_format_round_trip():
 # ---------------------------------------------------------------------------
 
 def _with_separate_tokens(corpus: Corpus) -> Corpus:
-    """An equal corpus in which every occurrence is its own Token object."""
-    return Corpus(tuple(
-        replace(line, tokens=tuple(Token(t.raw, t.graphemes) for t in line.tokens))
+    """An equal corpus assembled from a Token object per occurrence."""
+    return assemble_corpus([
+        (line.locus, tuple(Token(t.raw, t.graphemes) for t in line.tokens),
+         line.paragraph_id)
         for line in corpus.lines
-    ))
+    ])
 
 
 def _corpus_from(source: str, text: str, seed: int) -> Corpus:
@@ -451,7 +459,7 @@ def test_equal_tokens_need_not_be_shared():
     shared = build(shared_token)
     separate = build(lambda word: Token(word, VMS.segment(word)))
     assert shared == separate
-    assert len({id(t) for t in separate.iter_tokens()}) == separate.token_count()
+    assert len(separate.words) == len({word for words in lines for word in words})
     spec = GridSpec(alphabet=VMS, max_line_offset=3, max_pos_offset=2)
     grids = [compute_grids(corpus, spec, (0, 1, 2)) for corpus in (shared, separate)]
     for d in (0, 1, 2):
@@ -465,3 +473,87 @@ def test_equal_tokens_need_not_be_shared():
     assert ("daiin", "dain") in edges[1]
     assert rank_frequency(shared) == rank_frequency(separate)
     assert rank_frequency(separate)[0] == (1, "chol", 5)
+
+
+# ---------------------------------------------------------------------------
+# the columnar corpus against the per-token oracles
+# ---------------------------------------------------------------------------
+
+# cannot segment "y" or "qokchy", so both fail in normalize
+NARROW = Alphabet(graphemes=("ch", "d", "a", "i", "n", "o", "l"))
+ORACLE_PAGES = {"f1r", "g002", "text"}
+
+
+def _views(corpus):
+    return corpus.lines, [
+        (raw, info.count, info.graphemes) for raw, info in corpus.types.entries.items()
+    ]
+
+
+def _outcome(start, steps):
+    """The result of ``start()`` put through ``steps``, or the ValueError
+    (a SegmentationError, or an empty corpus) that stopped it."""
+    try:
+        value = start()
+        for step in steps:
+            value = step(value)
+    except ValueError as exc:
+        return None, exc
+    return value, None
+
+
+@settings(deadline=None)
+@given(
+    st.lists(transliteration_line(), min_size=1, max_size=12),
+    st.sampled_from(["transliteration", "units", "plaintext", "generate"]),
+    st.lists(st.sampled_from(["normalize", "filter_pages", "shuffle_control"]),
+             max_size=3),
+    st.sampled_from([VMS, NARROW]),
+    st.integers(0, 2**16),
+)
+def test_columnar_views_match_the_oracles(lines, source, steps, alphabet, seed):
+    # every stage's lines, loci, paragraph flags and type table read through
+    # the views equal the per-token oracles' records, and both fail alike: a
+    # word the alphabet cannot segment is named by the same error
+    text = "\n".join(lines)
+    plain = text.replace(".", " ")
+    min_graphemes = seed % 3
+    if source == "generate":
+        generated = generate(GeneratorParams.defaults().replace(
+            target_token_count=20 + seed % 200, rng_seed=seed), VMS)
+        text = format_transliteration(generated)
+    library_sources = {
+        "transliteration": lambda: parse_transliteration(text),
+        "units": lambda: parse_transliteration(text, frozenset({"P"})),
+        "plaintext": lambda: parse_plaintext(plain),
+        "generate": lambda: generated,
+    }
+    oracle_sources = {
+        "transliteration": lambda: oracle_parse_transliteration(text),
+        "units": lambda: oracle_parse_transliteration(text, frozenset({"P"})),
+        "plaintext": lambda: oracle_parse_plaintext(plain),
+        "generate": lambda: tuple(
+            replace(line, tokens=tuple(Token(t.raw, VMS.segment(t.raw)) for t in line.tokens))
+            for line in oracle_parse_transliteration(text)
+        ),
+    }
+    library_steps = {
+        "normalize": lambda c: normalize(c, alphabet, min_graphemes),
+        "filter_pages": lambda c: filter_pages(c, ORACLE_PAGES),
+        "shuffle_control": lambda c: shuffle_control(c, seed),
+    }
+    oracle_steps = {
+        "normalize": lambda lines: oracle_normalize(lines, alphabet, min_graphemes),
+        "filter_pages": lambda lines: oracle_filter_pages(lines, ORACLE_PAGES),
+        "shuffle_control": lambda lines: oracle_shuffle_control(lines, seed),
+    }
+    corpus, error = _outcome(library_sources[source], [library_steps[s] for s in steps])
+    expected, expected_error = _outcome(oracle_sources[source], [oracle_steps[s] for s in steps])
+    if expected_error is None:
+        assert error is None, error
+        assert _views(corpus) == (expected, oracle_type_rows(expected))
+    elif isinstance(expected_error, SegmentationError):
+        assert isinstance(error, SegmentationError)
+        assert str(error) == str(expected_error)
+    else:
+        assert isinstance(error, EmptyCorpusError)

@@ -1,6 +1,6 @@
 import pytest
 
-from selfcite.corpus import normalize, parse_transliteration
+from selfcite.corpus import assemble_corpus, normalize, parse_transliteration
 from selfcite.posstats import is_subgroup, positional_stats, rank_frequency
 from selfcite.profiles import load_profile
 
@@ -108,8 +108,7 @@ def test_subgroup_transitive():
 
 
 def test_empty_corpus_rejected():
-    corpus = _corpus("<f1r.P.1> chedy")
-    empty = corpus.__class__(lines=())
+    empty = assemble_corpus([])
     with pytest.raises(ValueError, match="empty corpus"):
         _stats(empty)
 
