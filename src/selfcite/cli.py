@@ -242,10 +242,8 @@ def _cmd_network(args) -> int:
     corpus = normalize(corpus, profile.alphabet, args.min_graphemes)
     table = TypeTable.from_corpus(corpus, profile.alphabet)
     graph = build_graph(table, profile.alphabet, args.min_freq)
-    rows = [
-        (a, b, edge_operation(table.entries[a].graphemes, table.entries[b].graphemes))
-        for a, b in sorted(graph.edges())
-    ]
+    graphemes = dict(zip(table.words, table.graphemes))
+    rows = [(a, b, edge_operation(graphemes[a], graphemes[b])) for a, b in sorted(graph.edges())]
     _emit(args, csv_bytes([("type_a", "type_b", "operation"), *rows]))
     return 0
 

@@ -8,11 +8,11 @@ at or right of the writing position are excluded: only previously written
 words are compared.
 
 Counts are exact integers per cell; proportions are rational values formed
-at render time. Type ids and words come from the corpus's type table,
-:attr:`selfcite.corpus.Corpus.types`, and one
-:func:`selfcite.editdist.word_arrays` table of its types serves both the
-prefilter and the distance kernel. Grids for several target distances are
-computed in one pass, bounded by the largest distance:
+at render time. Type ids come from the corpus's id stream,
+:attr:`selfcite.corpus.Corpus.ids`, and one
+:func:`selfcite.editdist.word_arrays` table of its types' graphemes serves
+both the prefilter and the distance kernel. Grids for several target
+distances are computed in one pass, bounded by the largest distance:
 
 1. The corpus's id stream becomes one flat array, each line padded with
    blank (-1) cells to twice the longest line's length, at most that plus

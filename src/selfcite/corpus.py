@@ -40,7 +40,7 @@ from functools import cached_property
 from itertools import accumulate, chain, compress, takewhile
 from operator import ne
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from selfcite.editdist import Alphabet
 
@@ -99,41 +99,6 @@ class Line:
     paragraph_initial: bool
     paragraph_final: bool
     paragraph_id: int
-
-
-class TypeInfo(NamedTuple):
-    """One word type: its count and its graphemes (None until segmented); a
-    named tuple, since one is built per type and builds faster than a dataclass."""
-
-    count: int
-    graphemes: tuple[str, ...] | None
-
-
-@dataclass(frozen=True)
-class TypeTable:
-    """Distinct word types keyed on their raw word, in order of first
-    occurrence when read from a corpus."""
-
-    entries: dict[str, TypeInfo]
-
-    @classmethod
-    def from_corpus(cls, corpus: "Corpus", alphabet: Alphabet | None = None) -> "TypeTable":
-        """The corpus's own table, :attr:`Corpus.types`, or, when ``alphabet``
-        is given and some type is not segmented, a copy that it segments.
-        Raises as :meth:`Corpus.segmentations` if a type stays unsegmented."""
-        if alphabet is None or all(corpus.graphemes):
-            corpus.segmentations()  # raises for a type left unsegmented
-            return corpus.types
-        return cls({raw: TypeInfo(info.count, info.graphemes or alphabet.segment(raw))
-                    for raw, info in corpus.types.entries.items()})
-
-    def grapheme_counts(self) -> Counter:
-        """Occurrences of each grapheme across all tokens."""
-        counts = Counter()
-        for info in self.entries.values():
-            for g in info.graphemes:
-                counts[g] += info.count
-        return counts
 
 
 @dataclass(frozen=True)
@@ -196,11 +161,6 @@ class Corpus:
         """Occurrences of each type, in id order."""
         found = Counter(self.ids)
         return tuple(map(found.__getitem__, range(len(self.words))))
-
-    @cached_property
-    def types(self) -> TypeTable:
-        """The :class:`TypeTable` of the columns, built on first read; not a field."""
-        return TypeTable(dict(zip(self.words, map(TypeInfo, self.counts, self.graphemes))))
 
     @cached_property
     def lines(self) -> tuple[Line, ...]:
@@ -275,16 +235,6 @@ def require_strings(name: str, value) -> tuple[str, ...]:
     ):
         raise ValueError(f"{name} must be a list of strings, got {value!r}")
     return tuple(value)
-
-
-def assemble_corpus(records: list[tuple[Locus, tuple[Token, ...], int]]) -> Corpus:
-    """Build a corpus from (locus, tokens, paragraph id) line records given
-    in source order; a word's graphemes are those of its first occurrence."""
-    types: dict[str, int] = {}  # raw word -> type id
-    rows = [(locus, [types.setdefault(t.raw, len(types)) for t in tokens], para_id)
-            for locus, tokens, para_id in records]
-    first = {t.raw: t.graphemes for _, tokens, _ in reversed(records) for t in reversed(tokens)}
-    return Corpus.from_rows(rows, types, list(map(first.__getitem__, types)))
 
 
 def parse_transliteration(text: str, units: frozenset[str] | None = None) -> Corpus:
@@ -375,14 +325,14 @@ def parse_plaintext(text: str) -> Corpus:
 def normalize(corpus: Corpus, alphabet: Alphabet, min_graphemes: int = 2) -> Corpus:
     """Segment every word type and drop tokens shorter than ``min_graphemes``.
 
-    Every type is segmented in one :meth:`Alphabet.segment_all` call; kept
-    types keep their order, so ids still follow first occurrence. Lines left
-    without tokens are removed, and each surviving paragraph still has an
-    initial and a final line. Idempotent. Raises
-    :class:`selfcite.editdist.SegmentationError` for words the alphabet
-    cannot segment, and :class:`EmptyCorpusError` when no token is left.
+    Each word type is segmented once, in id order; kept types keep their
+    order, so ids still follow first occurrence. Lines left without tokens
+    are removed, and each surviving paragraph still has an initial and a
+    final line. Idempotent. Raises :class:`selfcite.editdist.SegmentationError`
+    for the first word the alphabet cannot segment, and
+    :class:`EmptyCorpusError` when no token is left.
     """
-    segmented = alphabet.segment_all(corpus.words)
+    segmented = list(map(alphabet.segment, corpus.words))
     keep = [len(graphemes) >= min_graphemes for graphemes in segmented]
     # old type id -> new id, or -1 when dropped; kept types keep their order
     renumber = [n - 1 if kept else -1 for n, kept in zip(accumulate(keep), keep)]

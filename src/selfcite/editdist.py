@@ -114,14 +114,11 @@ class Alphabet:
         return {g: i for i, g in enumerate(self.graphemes)}
 
     @cached_property
-    def _segment_candidates(self) -> dict[str, tuple[str, ...]]:
-        # Longest-match-first candidates keyed by first character.
-        by_first: dict[str, list[str]] = {}
-        for g in self.graphemes:
-            by_first.setdefault(g[0], []).append(g)
-        return {
-            c: tuple(sorted(gs, key=len, reverse=True)) for c, gs in by_first.items()
-        }
+    def _grapheme_re(self) -> re.Pattern:
+        # Longest first: an alternation takes its first branch that matches,
+        # so "ch" beats "c" wherever both do.
+        longest = sorted(self.graphemes, key=len, reverse=True)
+        return re.compile("|".join(map(re.escape, longest)))
 
     @cached_property
     def similar_id_pairs(self) -> frozenset[tuple[int, int]]:
@@ -157,40 +154,19 @@ class Alphabet:
     def segment(self, raw: str) -> tuple[str, ...]:
         """Split a raw token into graphemes, longest match first.
 
-        Deterministic left-to-right scan: at each position the longest
-        inventory grapheme that matches wins, so "ch" beats "c" in "chol".
-        Raises :class:`SegmentationError` when no grapheme matches.
+        Left to right, the longest inventory grapheme that matches at each
+        position wins, so "ch" beats "c" in "chol". Raises
+        :class:`SegmentationError` at the first position no grapheme covers.
         """
-        out: list[str] = []
-        pos = 0
-        n = len(raw)
-        candidates = self._segment_candidates
-        while pos < n:
-            for g in candidates.get(raw[pos], ()):
-                if raw.startswith(g, pos):
-                    out.append(g)
-                    pos += len(g)
+        found = self._grapheme_re.findall(raw)
+        if "".join(found) != raw:  # the matches skipped some character
+            pos = 0
+            for match in self._grapheme_re.finditer(raw):
+                if match.start() != pos:
                     break
-            else:
-                raise SegmentationError(raw, pos)
-        return tuple(out)
-
-    def segment_all(self, raws: Sequence[str]) -> list[tuple[str, ...]]:
-        """:meth:`segment` of each word, from one longest-first regex scan of
-        them all joined by "\n" (which no word holds). A gap in the matches
-        means some word fails: word by word, the first raises."""
-        text = "\n".join(raws)
-        longest = sorted((g for g in self.graphemes if "\n" not in g), key=len, reverse=True)
-        found = re.findall("|".join(map(re.escape, longest)) + "|\n", text)
-        if "".join(found) != text:
-            return [self.segment(raw) for raw in raws]
-        found.append("\n")
-        out, start = [], 0
-        for _ in raws:
-            end = found.index("\n", start)
-            out.append(tuple(found[start:end]))
-            start = end + 1
-        return out
+                pos = match.end()
+            raise SegmentationError(raw, pos)
+        return tuple(found)
 
 
 def are_similar(a: str, b: str, alphabet: Alphabet) -> bool:

@@ -14,18 +14,49 @@ that gives the node ``b`` is the deletion from ``b`` that gives ``a``, so
 ``b``'s deletions find that edge, from far fewer variants than inserting
 every grapheme at every position would make.
 
-The nodes and their counts come from a :class:`TypeTable`, which is
-defined and counted in :mod:`selfcite.corpus` (``TypeTable.from_corpus``
-returns the corpus's own table) and re-exported here.
+The nodes, their counts and their graphemes come from a :class:`TypeTable`,
+which holds them as three columns; ``TypeTable.from_corpus`` reads them off
+a corpus's own columns.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
-from selfcite.corpus import TypeInfo, TypeTable  # noqa: F401  (re-exported)
+from selfcite.corpus import Corpus
 from selfcite.editdist import Alphabet, are_similar
+
+
+@dataclass(frozen=True)
+class TypeTable:
+    """Distinct word types in columns: ``words[k]`` occurs ``counts[k]``
+    times and splits into ``graphemes[k]``. Read from a corpus, the types
+    are in order of first occurrence."""
+
+    words: tuple[str, ...]
+    counts: tuple[int, ...]
+    graphemes: tuple[tuple[str, ...], ...]
+
+    @classmethod
+    def from_corpus(cls, corpus: Corpus, alphabet: Alphabet | None = None) -> "TypeTable":
+        """The corpus's types, counts and segmentations. A type the corpus
+        has not segmented is segmented by ``alphabet`` if one is given;
+        otherwise it raises as :meth:`Corpus.segmentations`."""
+        if alphabet is None:
+            graphemes = corpus.segmentations()
+        else:
+            graphemes = tuple(seq or alphabet.segment(word)
+                              for word, seq in zip(corpus.words, corpus.graphemes))
+        return cls(corpus.words, corpus.counts, graphemes)
+
+    def grapheme_counts(self) -> Counter:
+        """Occurrences of each grapheme across all tokens."""
+        counts = Counter()
+        for graphemes, count in zip(self.graphemes, self.counts):
+            for g in graphemes:
+                counts[g] += count
+        return counts
 
 
 @dataclass(frozen=True)
@@ -67,12 +98,12 @@ def build_graph(
     min_freq: int = 4,
 ) -> SimilarityGraph:
     """Build the distance-1 graph over types with count >= min_freq."""
-    if not table.entries:
+    if not table.words:
         raise ValueError("type table is empty")
     nodes = {
-        word: info.graphemes
-        for word, info in table.entries.items()
-        if info.count >= min_freq
+        word: seq
+        for word, seq, count in zip(table.words, table.graphemes, table.counts)
+        if count >= min_freq
     }
     index = {seq: word for word, seq in nodes.items()}
     adjacency: dict[str, set[str]] = {word: set() for word in nodes}
@@ -158,17 +189,19 @@ def frequency_ratio_report(
     substituted graphemes, oriented the same way.
     """
     grapheme_counts = table.grapheme_counts()
+    graphemes = dict(zip(table.words, table.graphemes))
+    counts = dict(zip(table.words, table.counts))
     rows = []
     for a, b in sorted(graph.edges()):
-        seq_a = table.entries[a].graphemes
-        seq_b = table.entries[b].graphemes
+        seq_a = graphemes[a]
+        seq_b = graphemes[b]
         if len(seq_a) != len(seq_b):
             continue
         diff = [(x, y) for x, y in zip(seq_a, seq_b) if x != y]
         if len(diff) != 1 or not are_similar(diff[0][0], diff[0][1], alphabet):
             continue
-        count_a = table.entries[a].count
-        count_b = table.entries[b].count
+        count_a = counts[a]
+        count_b = counts[b]
         if (count_b, a) > (count_a, b):
             a, b = b, a
             count_a, count_b = count_b, count_a

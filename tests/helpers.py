@@ -1,15 +1,17 @@
 """Independent reference implementations used to check the fast paths.
 
-These stay deliberately naive: the recursive distance explores every edit
-at every step, the scalar banded distance walks one pair's rows in plain
-Python, the grid recount walks every token pair with nested loops,
-and the network oracle compares every pair of types whose lengths differ by
-at most one. The corpus oracles work on :class:`Line` records, as the
-library did before its corpus became columnar: the parse oracles build one
-token per occurrence, the normalization oracle segments every occurrence,
-and the page filter and shuffle oracles cut and permute the records; the
-library's views (``Corpus.lines``, ``Corpus.types``) must match them. The
-generator oracles
+These stay deliberately naive: the segmenter scans a word character by
+character, trying every grapheme longest first, the recursive distance
+explores every edit at every step, the scalar banded distance walks one
+pair's rows in plain Python, the grid recount walks every token pair with
+nested loops, and the network oracle compares every pair of types whose
+lengths differ by at most one. The corpus oracles work on :class:`Line`
+records, as the library did before its corpus became columnar: the parse
+oracles build one token per occurrence, the normalization oracle segments
+every occurrence, and the page filter and shuffle oracles cut and permute
+the records; the library's ``Corpus.lines`` view and its columns (``words``,
+``counts``, ``graphemes``) must match them. ``assemble_corpus`` builds a
+library corpus from such records. The generator oracles
 call the source kernel once per candidate, rebuild each distribution's
 weights per draw and refilter the mutation kinds per edit, all drawing with
 ``rng.choices``; the library's tables built once per ``generate`` call must
@@ -31,16 +33,37 @@ from dataclasses import replace
 from itertools import chain, islice
 
 from selfcite.corpus import Corpus, Line, Locus, ParseError, Token
-from selfcite.editdist import Alphabet, are_similar, bounded_distances, word_arrays
+from selfcite.editdist import (
+    Alphabet,
+    SegmentationError,
+    are_similar,
+    bounded_distances,
+    word_arrays,
+)
 from selfcite.generator import SOURCE_BIAS_KERNELS
+
+
+def oracle_segment(raw: str, alphabet: Alphabet) -> tuple[str, ...]:
+    """Longest-match-first segmentation by a character scan: at each
+    position the longest inventory grapheme that starts there wins."""
+    longest = sorted(alphabet.graphemes, key=len, reverse=True)
+    out = []
+    pos = 0
+    while pos < len(raw):
+        grapheme = next((g for g in longest if raw.startswith(g, pos)), None)
+        if grapheme is None:
+            raise SegmentationError(raw, pos)
+        out.append(grapheme)
+        pos += len(grapheme)
+    return tuple(out)
 
 
 def naive_distance(a, b, alphabet: Alphabet) -> int:
     """Exponential-time weighted edit distance over grapheme sequences."""
     if isinstance(a, str):
-        a = alphabet.segment(a)
+        a = oracle_segment(a, alphabet)
     if isinstance(b, str):
-        b = alphabet.segment(b)
+        b = oracle_segment(b, alphabet)
     indel = alphabet.indel_cost
 
     def rec(x, y):
@@ -186,7 +209,7 @@ def brute_force_grid_counts(
     naive recursive distance for the match test, computed once per pair of
     words (it is symmetric). Only sensible for small corpora.
     """
-    lines = [[tok.graphemes or alphabet.segment(tok.raw) for tok in line.tokens]
+    lines = [[tok.graphemes or oracle_segment(tok.raw, alphabet) for tok in line.tokens]
              for line in corpus.lines]
     counts: dict[tuple[int, int], list[int]] = {}
     distances: dict[tuple, int] = {}
@@ -246,6 +269,16 @@ def bucket_edges(nodes: dict[str, tuple[str, ...]], alphabet: Alphabet):
 
 _ORACLE_LOCUS = re.compile(r"<([^<>.;,\s]+)\.([^<>.;,\s]+)\.(\d+)(?:;[^<>]*)?>")
 _ORACLE_EDGE_PUNCT = string.punctuation + "‘’“”«»–—…"
+
+
+def assemble_corpus(records) -> Corpus:
+    """The library corpus of (locus, tokens, paragraph id) line records given
+    in source order; a word's graphemes are those of its first occurrence."""
+    types: dict[str, int] = {}  # raw word -> type id
+    rows = [(locus, [types.setdefault(t.raw, len(types)) for t in tokens], para_id)
+            for locus, tokens, para_id in records]
+    first = {t.raw: t.graphemes for _, tokens, _ in reversed(records) for t in reversed(tokens)}
+    return Corpus.from_rows(rows, types, list(map(first.__getitem__, types)))
 
 
 def _oracle_lines(records) -> tuple[Line, ...]:
@@ -322,7 +355,7 @@ def oracle_normalize(lines, alphabet: Alphabet, min_graphemes: int):
     for line in lines:
         tokens = []
         for token in line.tokens:
-            graphemes = alphabet.segment(token.raw)
+            graphemes = oracle_segment(token.raw, alphabet)
             if len(graphemes) >= min_graphemes:
                 tokens.append(replace(token, graphemes=graphemes))
         if tokens:

@@ -17,12 +17,12 @@ from selfcite.cooccur import (
     render_grid,
     summarize_decay,
 )
-from selfcite.corpus import Locus, Token, assemble_corpus, normalize, parse_transliteration
+from selfcite.corpus import Locus, Token, normalize, parse_transliteration
 from selfcite.editdist import Alphabet, within_lower_bounds
 from selfcite.generator import GeneratorParams, generate, shuffle_control
 from selfcite.profiles import load_profile
 
-from helpers import HAND_ALPHABETS, HAND_GRID_CASES, brute_force_grid_counts
+from helpers import HAND_ALPHABETS, HAND_GRID_CASES, assemble_corpus, brute_force_grid_counts
 
 VMS = load_profile("vms").alphabet
 
@@ -354,7 +354,7 @@ def test_pair_key_dtype_steps_match_brute_force(n_types, key_type):
         lines.append(tokens[:rng.randrange(1, 7)])
         del tokens[:len(lines[-1])]
     corpus = _corpus(lines, alphabet)
-    assert len(corpus.types.entries) == n_types
+    assert len(corpus.words) == n_types
     assert cooccur._key_dtype(n_types) == key_type
     spec = GridSpec(alphabet=alphabet, max_line_offset=3, max_pos_offset=2)
     for d, grid in compute_grids(corpus, spec, (1, 2)).items():
@@ -376,7 +376,7 @@ def test_pair_keys_of_46341_types_are_int64():
         (Locus("p1", "P", k + 1, ""), tuple(Token(w, tuple(w)) for w in row), k)
         for k, row in enumerate(rows)
     ])
-    assert len(corpus.types.entries) == 46_341
+    assert len(corpus.words) == 46_341
     assert cooccur._key_dtype(46_341) == np.int64
     spec = GridSpec(alphabet=alphabet, max_line_offset=1, max_pos_offset=1)
     recount = brute_force_grid_counts(corpus, alphabet, 1, 1, 1)
@@ -407,7 +407,6 @@ def test_grid_peak_memory_is_bounded():
     corpus = normalize(generate(GeneratorParams.defaults().replace(
         target_token_count=3000, rng_seed=1), VMS), VMS)
     spec = GridSpec(alphabet=VMS)
-    corpus.types  # counted before tracing, as every grid reads it
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -10,7 +10,6 @@ from selfcite.corpus import (
     Locus,
     ParseError,
     Token,
-    assemble_corpus,
     filter_pages,
     format_transliteration,
     normalize,
@@ -25,6 +24,7 @@ from selfcite.posstats import positional_stats, rank_frequency
 from selfcite.profiles import load_profile
 
 from helpers import (
+    assemble_corpus,
     oracle_filter_pages,
     oracle_normalize,
     oracle_parse_plaintext,
@@ -429,13 +429,11 @@ def test_type_table_is_a_first_occurrence_count(lines, source, seed):
     graphemes = {}
     for token in corpus.iter_tokens():
         graphemes.setdefault(token.raw, token.graphemes)
-    expected = [(raw, n, graphemes[raw]) for raw, n in counts.items()]
+    expected = TypeTable(tuple(counts), tuple(counts.values()), tuple(graphemes.values()))
     for built in (corpus, _with_separate_tokens(corpus)):
-        table = built.types
-        assert [
-            (raw, info.count, info.graphemes) for raw, info in table.entries.items()
-        ] == expected
-        assert built.types is table
+        assert TypeTable(built.words, built.counts, built.graphemes) == expected
+        if None not in built.graphemes:
+            assert TypeTable.from_corpus(built) == expected
 
 
 def test_equal_tokens_need_not_be_shared():
@@ -485,9 +483,7 @@ ORACLE_PAGES = {"f1r", "g002", "text"}
 
 
 def _views(corpus):
-    return corpus.lines, [
-        (raw, info.count, info.graphemes) for raw, info in corpus.types.entries.items()
-    ]
+    return corpus.lines, list(zip(corpus.words, corpus.counts, corpus.graphemes))
 
 
 def _outcome(start, steps):

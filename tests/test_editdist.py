@@ -14,7 +14,13 @@ from selfcite.editdist import (
     edit_distance,
 )
 
-from helpers import batch_distances, id_table, naive_distance, oracle_bounded_distance
+from helpers import (
+    batch_distances,
+    id_table,
+    naive_distance,
+    oracle_bounded_distance,
+    oracle_segment,
+)
 
 
 VMS_LIKE = Alphabet(
@@ -107,6 +113,30 @@ def test_segment_round_trip_is_stable(graphemes):
     first = VMS_LIKE.segment(raw)
     assert "".join(first) == raw
     assert VMS_LIKE.segment(raw) == first
+
+
+# graphemes that share prefixes, graphemes special to a regex, and characters
+# that no inventory drawn from the pool holds
+SEGMENT_POOL = ("c", "ch", "cth", "ckh", "sh", "h", "t", "k", "s", "a",
+                ".", "*", "+", "(", "\\")
+OUTSIDE = ("x", ")", "?", "\n")
+
+
+def _segmented(segment, raw):
+    """``segment(raw)``, or the text and position of the error it raises."""
+    try:
+        return segment(raw)
+    except SegmentationError as exc:
+        return str(exc), exc.position
+
+
+@given(st.lists(st.sampled_from(SEGMENT_POOL), min_size=1, unique=True), st.data())
+def test_segment_matches_the_character_scan(inventory, data):
+    alphabet = Alphabet(graphemes=tuple(inventory))
+    piece = st.sampled_from(inventory) | st.sampled_from(SEGMENT_POOL + OUTSIDE)
+    raw = "".join(data.draw(st.lists(piece, max_size=10)))
+    assert _segmented(alphabet.segment, raw) == _segmented(
+        lambda word: oracle_segment(word, alphabet), raw)
 
 
 # ---------------------------------------------------------------------------

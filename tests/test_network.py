@@ -5,7 +5,6 @@ import pytest
 from selfcite.corpus import normalize, parse_transliteration
 from selfcite.editdist import Alphabet, edit_distance
 from selfcite.network import (
-    TypeInfo,
     TypeTable,
     build_graph,
     degree_coverage,
@@ -21,9 +20,7 @@ VMS = load_profile("vms").alphabet
 
 
 def _table(counts: dict[str, int], alphabet=VMS) -> TypeTable:
-    return TypeTable(
-        {w: TypeInfo(c, alphabet.segment(w)) for w, c in counts.items()}
-    )
+    return TypeTable(tuple(counts), tuple(counts.values()), tuple(map(alphabet.segment, counts)))
 
 
 def test_min_freq_and_insert_edge():
@@ -56,12 +53,9 @@ def _agree_on_random_tables(alphabet, symbols, seed, trials):
         while len(words) < n_types:
             length = rng.randrange(1, 5)
             words.add("".join(rng.choice(symbols) for _ in range(length)))
-        table = TypeTable(
-            {w: TypeInfo(rng.randrange(1, 12), alphabet.segment(w))
-             for w in words}
-        )
-        frequent = {w: info.graphemes for w, info in table.entries.items()
-                    if info.count >= 3}
+        table = _table({w: rng.randrange(1, 12) for w in words}, alphabet)
+        frequent = {w: seq for w, seq, count in zip(table.words, table.graphemes, table.counts)
+                    if count >= 3}
         graph = build_graph(table, alphabet, min_freq=3)
         assert graph.nodes == set(frequent), trial
         assert graph.edges() == bucket_edges(frequent, alphabet), trial
@@ -112,10 +106,8 @@ def test_strategies_agree_on_larger_table():
         graphemes=tuple("aboy"), similarity_groups=(frozenset("ao"),),
         dissimilar_substitution_cost=2,
     )
-    table = TypeTable(
-        {w: TypeInfo(rng.randrange(4, 20), alphabet.segment(w)) for w in words}
-    )
-    nodes = {w: info.graphemes for w, info in table.entries.items()}
+    table = _table({w: rng.randrange(4, 20) for w in words}, alphabet)
+    nodes = dict(zip(table.words, table.graphemes))
     assert build_graph(table, alphabet).edges() == bucket_edges(nodes, alphabet)
 
 
@@ -252,5 +244,18 @@ def test_type_table_from_corpus_totals():
         parse_transliteration("<f1r.P.1> chedy.ol\n<f1r.P.2> chedy"), VMS
     )
     table = TypeTable.from_corpus(corpus)
-    assert sum(info.count for info in table.entries.values()) == corpus.token_count() == 3
-    assert table.entries["chedy"].count == 2
+    assert sum(table.counts) == corpus.token_count() == 3
+    assert table.counts[table.words.index("chedy")] == 2
+
+
+def test_type_table_from_corpus_segments_an_unnormalized_corpus():
+    corpus = parse_transliteration("<f1r.P.1> chedy.ol.qokchy\n<f1r.P.2> chedy.y")
+    table = TypeTable.from_corpus(corpus, VMS)
+    assert table == TypeTable.from_corpus(normalize(corpus, VMS, min_graphemes=1))
+    assert table.graphemes[0] == ("ch", "e", "d", "y")
+
+
+def test_type_table_from_corpus_needs_a_normalized_corpus_or_an_alphabet():
+    corpus = parse_transliteration("<f1r.P.1> chedy.ol")
+    with pytest.raises(ValueError, match="normalize the corpus first"):
+        TypeTable.from_corpus(corpus)

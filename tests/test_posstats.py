@@ -1,8 +1,10 @@
 import pytest
 
-from selfcite.corpus import assemble_corpus, normalize, parse_transliteration
+from selfcite.corpus import normalize, parse_transliteration
 from selfcite.posstats import is_subgroup, positional_stats, rank_frequency
 from selfcite.profiles import load_profile
+
+from helpers import assemble_corpus
 
 PROFILE = load_profile("vms")
 VMS = PROFILE.alphabet
