@@ -21,10 +21,12 @@ import json
 import math
 import random
 from bisect import bisect
+from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 from itertools import accumulate, chain, count, repeat
+from operator import itemgetter
 from pathlib import Path
 
 from selfcite.corpus import (
@@ -230,8 +232,11 @@ def _cumulative(distribution) -> tuple:
 def _draw(rng: random.Random, table):
     """One weighted draw from a ``_table``: the single ``random()`` call and
     ``bisect`` of ``random.choices(values, weights)[0]``, for a table built
-    once instead of per draw. The ``rng.choices`` oracle tests in ``tests/``
-    catch any change to these CPython internals."""
+    once instead of per draw. Uniform draws likewise call
+    ``rng._randbelow(n)``, the one call that ``randrange(n)`` and
+    ``choice(seq)`` make for ``n`` >= 1. The ``rng.choices``, ``randrange``
+    and ``choice`` oracle tests in ``tests/`` catch any change to these
+    CPython internals."""
     values, cum, total = table
     return values[bisect(cum, rng.random() * total, 0, len(cum) - 1)]
 
@@ -256,59 +261,73 @@ def _kind_tables(params: GeneratorParams) -> dict[tuple[bool, bool], tuple]:
 
 def _mutate(seq, rng, partners, kind_tables, insertable):
     """Apply one cost-1 edit, never producing an empty token."""
-    can_substitute = any(partners[g] for g in seq)
-    kind = _draw(rng, kind_tables[len(seq) > 1, can_substitute])
+    eligible = [i for i, g in enumerate(seq) if partners[g]]  # can take a similar substitute
+    kind = _draw(rng, kind_tables[len(seq) > 1, bool(eligible)])
+    randbelow = rng._randbelow
     if kind == "insert":
-        pos = rng.randrange(len(seq) + 1)
-        return seq[:pos] + (rng.choice(insertable),) + seq[pos:]
+        pos = randbelow(len(seq) + 1)
+        return seq[:pos] + (insertable[randbelow(len(insertable))],) + seq[pos:]
     if kind == "delete":
-        pos = rng.randrange(len(seq))
+        pos = randbelow(len(seq))
         return seq[:pos] + seq[pos + 1 :]
-    eligible = [i for i, g in enumerate(seq) if partners[g]]
-    pos = rng.choice(eligible)
-    return seq[:pos] + (rng.choice(partners[seq[pos]]),) + seq[pos + 1 :]
+    pos = eligible[randbelow(len(eligible))]
+    similar = partners[seq[pos]]
+    return seq[:pos] + (similar[randbelow(len(similar))],) + seq[pos + 1 :]
 
 
-def _canonical(
-    word: tuple[str, ...], alphabet: Alphabet, segmented: dict[str, tuple[str, ...]]
-) -> tuple[str, ...]:
-    # Mutations and prepends can abut characters that segment as one
-    # grapheme (e.g. c + h); re-segmenting keeps tokens canonical so the
-    # grapheme sequence always matches the surface form. ``segmented``
-    # memoises the segmentation of each surface form.
-    raw = "".join(word)
-    graphemes = segmented.get(raw)
-    if graphemes is None:
-        graphemes = segmented[raw] = alphabet.segment(raw)
+def _resegment(word, raw, segment, segmented):
+    """Memoise in ``segmented`` and return the segmentation of ``raw``, the
+    surface form of ``word``: ``word`` itself when it is already canonical,
+    so the memo holds the strings ``word`` holds rather than new ones."""
+    graphemes = segment(raw)
+    if graphemes == word:
+        graphemes = word
+    segmented[raw] = graphemes
     return graphemes
 
 
-@lru_cache(maxsize=4096)
-def _line_weights(bias: str, i: int, length: int, m: int) -> tuple[float, ...]:
-    """Kernel weights of the words of the line ``i`` lines above the current
-    one (0 = the current line), for the word being written at position ``m``."""
+@lru_cache(maxsize=1024)
+def _line_weights(
+    bias: str, i: int, length: int, positions: int
+) -> tuple[tuple[float, ...], ...]:
+    """Kernel weights of the words of a ``length``-word line ``i`` lines
+    above the current one (0 = the current line): item m holds them for the
+    word being written at position m, for each m below ``positions``."""
     kernel = SOURCE_BIAS_KERNELS[bias]
-    return tuple(kernel(i, p, m) for p in range(length))
+    return tuple(
+        tuple(kernel(i, p, m) for p in range(length)) for m in range(positions)
+    )
 
 
-def _pick_source(history, current_line, m, rng, params):
-    """Weighted draw of a source word from the recent writing window.
-
-    Reproduces ``rng.choices(candidates, weights)[0]``: one C-level
-    ``accumulate`` over the cached per-line weights, then ``_draw``."""
-    depth = params.source_window_lines - 1
-    window = [current_line] + (history[-depth:][::-1] if depth else [])
-    candidates = list(chain.from_iterable(window))
-    if not candidates:
-        return None
-    weights = chain.from_iterable(map(
-        _line_weights,
-        repeat(params.source_position_bias),
-        count(),
-        map(len, window),
-        repeat(m),
+def _source_window(above, bias, positions):
+    """The lines ``above`` the current one, nearest last, as a source draw
+    at any position below ``positions`` reads them: their words, nearest
+    line first, in one list, and each line's ``_line_weights``. Every
+    position of a line reads the same ones, so a line builds them once."""
+    weights = tuple(map(
+        _line_weights, repeat(bias), count(1), map(len, reversed(above)),
+        repeat(positions),
     ))
-    return _draw(rng, _table(candidates, weights))
+    return list(chain.from_iterable(reversed(above))), weights
+
+
+def _pick_source(window, current_line, m, rng, bias):
+    """Weighted draw of a source word for position ``m`` from the current
+    line's words, then the ``_source_window``'s.
+
+    Reproduces ``rng.choices(candidates, weights)[0]``: the same kernel
+    weights in the same order, one C-level ``accumulate`` and one
+    ``random()``. The weights are positive, so their total needs no check."""
+    above, weights = window
+    n = len(current_line)
+    if not n and not above:
+        return None
+    cum = list(accumulate(chain(
+        _line_weights(bias, 0, n, m + 1)[m],
+        chain.from_iterable(map(itemgetter(m), weights)),
+    )))
+    k = bisect(cum, rng.random() * cum[-1], 0, len(cum) - 1)
+    return current_line[k] if k < n else above[k - n]
 
 
 def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
@@ -331,95 +350,94 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
     mutation_counts = _cumulative(params.mutation_count_distribution)
     kind_tables = _kind_tables(params)
     partners = alphabet.similar_partners
+    segment = alphabet.segment
+    target = params.target_token_count
+    bias = params.source_position_bias
+    longest_line = max(k for k, _ in params.line_length_distribution)
+    copy_probability = params.copy_probability
+    strip_probability = params.second_word_strip_probability
+    finals = params.line_final_glyphs
+    final_probability = params.line_final_glyph_probability
+    # Mutations and prepends can abut characters that segment as one
+    # grapheme (e.g. c + h); re-segmenting keeps tokens canonical so the
+    # grapheme sequence always matches the surface form. ``segmented``
+    # memoises the segmentation of each surface form.
     segmented: dict[str, tuple[str, ...]] = {}
     types: dict[tuple[str, ...], int] = {}  # a word's graphemes -> its type id
     rng = random.Random(params.rng_seed)
-    history: list[list[tuple[str, ...]]] = []
+    random_, randbelow = rng.random, rng._randbelow
+    # the lines a source draw can read: all but the current one of the window
+    above: deque[list[tuple[str, ...]]] = deque(maxlen=params.source_window_lines - 1)
     emitted = 0
 
     lines: list[tuple[Locus, list[int], int]] = []
     page_no = 1
+    page = "g001"
     page_lines = 0
     para_id = 0
 
-    while emitted < params.target_token_count:
+    while emitted < target:
         para_len = _draw(rng, paragraph_lengths)
         if page_lines and page_lines + para_len > _PAGE_CAPACITY_LINES:
             page_no += 1
+            page = f"g{page_no:03d}"
             page_lines = 0
         for line_idx in range(para_len):
-            if emitted >= params.target_token_count:
+            if emitted >= target:
                 break
             line_len = _draw(rng, line_lengths)
+            window = _source_window(above, bias, longest_line)
+            # a paragraph's opening word may gain a gallows glyph, any other
+            # line's opening word a prefix glyph
+            if line_idx == 0:
+                initials = params.gallows_graphemes
+                initial_probability = params.paragraph_initial_gallows_probability
+            else:
+                initials = params.prefix_graphemes
+                initial_probability = params.line_initial_prefix_probability
             current: list[tuple[str, ...]] = []
             added_initial = False
-            first_base: tuple[str, ...] | None = None
-            for m in range(line_len):
-                if emitted >= params.target_token_count:
-                    break
-                if (
-                    m == 1
-                    and added_initial
-                    and first_base
-                    and rng.random() < params.second_word_strip_probability
-                ):
+            for m in range(min(line_len, target - emitted)):
+                if m == 1 and added_initial and random_() < strip_probability:
                     word = first_base
                 else:
                     word = None
-                    has_history = bool(current) or any(history)
-                    if has_history and rng.random() < params.copy_probability:
+                    # every line written is nonempty, and so is the
+                    # current one from m = 1
+                    if (m or lines) and random_() < copy_probability:
                         # the window can still be empty, e.g. at position 0
                         # with a one-line source window
-                        word = _pick_source(history, current, m, rng, params)
+                        word = _pick_source(window, current, m, rng, bias)
                     if word is None:
-                        word = seeds[rng.randrange(len(seeds))]
-                    else:
-                        k = _draw(rng, mutation_counts)
+                        word = seeds[randbelow(len(seeds))]
+                    elif k := _draw(rng, mutation_counts):
+                        # an unmutated copy is already canonical
                         for _ in range(k):
                             word = _mutate(word, rng, partners, kind_tables, insertable)
-                        word = _canonical(word, alphabet, segmented)
+                        word = segmented.get(raw := "".join(word)) or _resegment(
+                            word, raw, segment, segmented)
                 if m == 0:
                     first_base = word
-                    if line_idx == 0:
-                        if (
-                            params.gallows_graphemes
-                            and rng.random()
-                            < params.paragraph_initial_gallows_probability
-                        ):
-                            added = rng.choice(params.gallows_graphemes)
-                            word = _canonical((added,) + word, alphabet, segmented)
-                            added_initial = True
-                    elif (
-                        params.prefix_graphemes
-                        and rng.random() < params.line_initial_prefix_probability
-                    ):
-                        added = rng.choice(params.prefix_graphemes)
-                        word = _canonical((added,) + word, alphabet, segmented)
+                    if initials and random_() < initial_probability:
+                        word = (initials[randbelow(len(initials))],) + word
+                        word = segmented.get(raw := "".join(word)) or _resegment(
+                            word, raw, segment, segmented)
                         added_initial = True
-                if (
-                    m == line_len - 1
-                    and params.line_final_glyphs
-                    and rng.random() < params.line_final_glyph_probability
-                ):
-                    word = _canonical(
-                        word + (rng.choice(params.line_final_glyphs),),
-                        alphabet,
-                        segmented,
-                    )
+                if m == line_len - 1 and finals and random_() < final_probability:
+                    word += (finals[randbelow(len(finals))],)
+                    word = segmented.get(raw := "".join(word)) or _resegment(
+                        word, raw, segment, segmented)
                 current.append(word)
-                emitted += 1
-            if current:
-                page_lines += 1
-                locus = Locus(
-                    page=f"g{page_no:03d}",
-                    unit="P",
-                    line_no=page_lines,
-                    raw_tag=f"<g{page_no:03d}.P.{page_lines}>",
-                )
-                lines.append((locus, [types.setdefault(w, len(types)) for w in current], para_id))
-                history.append(current)
+            emitted += len(current)
+            page_lines += 1
+            locus = Locus(
+                page=page, unit="P", line_no=page_lines, raw_tag=f"<{page}.P.{page_lines}>"
+            )
+            lines.append((locus, [types.setdefault(w, len(types)) for w in current], para_id))
+            above.append(current)
         para_id += 1
 
+    del segmented  # not part of the corpus: free it before the corpus is built
     # Words are canonical segmentations, so distinct ones join to distinct raw words.
     return Corpus.from_rows(lines, map("".join, types), types)
 

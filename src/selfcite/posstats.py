@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import contains, mul
 
 from selfcite.corpus import Corpus
 
@@ -95,77 +97,86 @@ def positional_stats(
     the very end of a line (final grapheme of the line's final token).
     Pairwise rates (second word shorter/longer, subgroup) are computed only
     over lines with at least two tokens.
+
+    What does not depend on a token's place (its length, its first
+    grapheme, its line-final glyphs) is counted once per type and weighted
+    by the type's count; each line adds its first and last token and, with
+    two tokens or more, its second-word comparisons. Its reference is the
+    per-token ``oracle_positional_stats`` in ``tests/helpers.py``.
     """
     # segmentations() also raises unless the corpus was normalized
     if not (graphemes := corpus.segmentations()):
         raise ValueError("empty corpus")
+    ids, offsets, counts = corpus.ids, corpus.offsets, corpus.counts
+    lengths = list(map(len, graphemes))
 
-    para_first = [0, 0]
-    line_first = [0, 0]
-    line_internal = [0, 0]
+    total_tokens = len(ids)
+    total_len = sum(map(mul, lengths, counts))
+    prefix_tokens = sum(n for word, n in zip(graphemes, counts) if word[0] in prefixes)
+    final_totals = {
+        g: sum(word.count(g) * n for word, n in zip(graphemes, counts))
+        for g in sorted(line_final_glyphs)
+    }
+    # inside[j]: token j + 1 is a subgroup of token j, over the whole id stream
+    if contiguous_subgroup:
+        # one character per grapheme, so that a substring is a run of whole
+        # graphemes ("ch" must not match "c" followed by "h")
+        chars = {g: chr(n) for n, g in enumerate(set(chain.from_iterable(graphemes)))}
+        forms = ["".join(map(chars.__getitem__, word)) for word in graphemes]
+        stream = list(map(forms.__getitem__, ids))
+        inside = list(map(contains, stream, stream[1:]))
+    else:
+        stream = list(map(graphemes.__getitem__, ids))
+        inside = list(map(is_subgroup, stream[1:], stream, repeat(False)))
+
+    line_count = first_prefixes = 0
+    paragraph_count = paragraph_gallows = parafirst_len = parafirst_tokens = 0
+    pairs = shorter = longer = second_subgroups = internal_subgroups = 0
     final_hits = Counter()
-    final_totals = Counter()
-    total_len = 0
-    total_tokens = 0
-    parafirst_len = 0
-    parafirst_tokens = 0
-    second = {"shorter": 0, "longer": 0, "pairs": 0, "subgroup": 0}
-    internal_sub = [0, 0]
-
-    for row, (paragraph_initial, _) in zip(corpus.line_ids(), corpus.paragraph_flags()):
-        if not row:
+    for start, end, (paragraph_initial, _) in zip(offsets, offsets[1:], corpus.paragraph_flags()):
+        if start == end:
             continue
-        words = list(map(graphemes.__getitem__, row))
-        for m, word in enumerate(words):
-            total_len += len(word)
-            total_tokens += 1
-            if paragraph_initial:
-                parafirst_len += len(word)
-                parafirst_tokens += 1
-            bucket = line_first if m == 0 else line_internal
-            bucket[1] += 1
-            if word[0] in prefixes:
-                bucket[0] += 1
-            last_of_line = m == len(words) - 1
-            for k, g in enumerate(word):
-                if g in line_final_glyphs:
-                    final_totals[g] += 1
-                    if last_of_line and k == len(word) - 1:
-                        final_hits[g] += 1
-            if m >= 2 and is_subgroup(word, words[m - 1], contiguous_subgroup):
-                internal_sub[0] += 1
-            if m >= 2:
-                internal_sub[1] += 1
+        line_count += 1
+        first = graphemes[ids[start]]
+        if first[0] in prefixes:
+            first_prefixes += 1
+        if (last := graphemes[ids[end - 1]][-1]) in line_final_glyphs:
+            final_hits[last] += 1
         if paragraph_initial:
-            para_first[1] += 1
-            if words[0][0] in gallows:
-                para_first[0] += 1
-        if len(words) >= 2:
-            second["pairs"] += 1
-            if len(words[1]) < len(words[0]):
-                second["shorter"] += 1
-            elif len(words[1]) > len(words[0]):
-                second["longer"] += 1
-            if is_subgroup(words[1], words[0], contiguous_subgroup):
-                second["subgroup"] += 1
+            paragraph_count += 1
+            if first[0] in gallows:
+                paragraph_gallows += 1
+            parafirst_len += sum(map(lengths.__getitem__, ids[start:end]))
+            parafirst_tokens += end - start
+        if end - start >= 2:
+            pairs += 1
+            first_len, second_len = lengths[ids[start]], lengths[ids[start + 1]]
+            if second_len < first_len:
+                shorter += 1
+            elif second_len > first_len:
+                longer += 1
+            if inside[start]:
+                second_subgroups += 1
+            internal_subgroups += sum(inside[start + 1 : end - 1])
 
     return PositionalReport(
-        paragraph_initial_gallows_rate=Rate(para_first[0], para_first[1]),
-        line_initial_prefix_rate=Rate(line_first[0], line_first[1]),
-        line_internal_prefix_rate=Rate(line_internal[0], line_internal[1]),
-        line_final_rates={
-            g: Rate(final_hits[g], final_totals[g]) for g in sorted(line_final_glyphs)
-        },
+        paragraph_initial_gallows_rate=Rate(paragraph_gallows, paragraph_count),
+        line_initial_prefix_rate=Rate(first_prefixes, line_count),
+        line_internal_prefix_rate=Rate(
+            prefix_tokens - first_prefixes, total_tokens - line_count
+        ),
+        line_final_rates={g: Rate(final_hits[g], total) for g, total in final_totals.items()},
         mean_token_length_overall=total_len / total_tokens,
         mean_token_length_paragraph_first_lines=(
             parafirst_len / parafirst_tokens if parafirst_tokens else float("nan")
         ),
         token_count=total_tokens,
         paragraph_first_line_token_count=parafirst_tokens,
-        second_shorter_rate=Rate(second["shorter"], second["pairs"]),
-        second_longer_rate=Rate(second["longer"], second["pairs"]),
-        second_word_subgroup_rate=Rate(second["subgroup"], second["pairs"]),
-        internal_subgroup_rate=Rate(internal_sub[0], internal_sub[1]),
+        second_shorter_rate=Rate(shorter, pairs),
+        second_longer_rate=Rate(longer, pairs),
+        second_word_subgroup_rate=Rate(second_subgroups, pairs),
+        # the neighbours from the third word on: n - 2 pairs in a line of n >= 2
+        internal_subgroup_rate=Rate(internal_subgroups, total_tokens - line_count - pairs),
     )
 
 

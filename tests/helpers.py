@@ -14,13 +14,16 @@ the records; the library's ``Corpus.lines`` view and its columns (``words``,
 library corpus from such records. The generator oracles
 call the source kernel once per candidate, rebuild each distribution's
 weights per draw and refilter the mutation kinds per edit, all drawing with
-``rng.choices``; the library's tables built once per ``generate`` call must
-match them RNG call for RNG call. Apart from the kernel table and the
-corpus record classes, none shares code with the library internals it
-checks. The hand-enumerated grid cases live here too, shared between the
-unit tests and the acceptance suite, and so does ``batch_distances``, which
-runs a test's many pairs through the library's batched distance in one call,
-and ``id_table``, the library's word table of a list of id sequences.
+``rng.choices``, ``randrange`` and ``choice``; the library's tables built
+once per ``generate`` call must match them RNG call for RNG call. The
+positional-stats oracle counts token by token over ``Corpus.lines``, where
+the library counts once per type and once per line. Apart from the kernel
+table and the corpus and report record classes, none shares code with the
+library internals it checks. The hand-enumerated grid cases live here too,
+shared between the unit tests and the acceptance suite, and so does
+``batch_distances``, which runs a test's many pairs through the library's
+batched distance in one call, and ``id_table``, the library's word table of
+a list of id sequences.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import random
 import re
 import string
 import unicodedata
+from collections import Counter
 from dataclasses import replace
 from itertools import chain, islice
 
@@ -41,6 +45,7 @@ from selfcite.editdist import (
     word_arrays,
 )
 from selfcite.generator import SOURCE_BIAS_KERNELS
+from selfcite.posstats import PositionalReport, Rate
 
 
 def oracle_segment(raw: str, alphabet: Alphabet) -> tuple[str, ...]:
@@ -443,6 +448,86 @@ def oracle_draw(rng, distribution) -> int:
     values = [k for k, _ in distribution]
     weights = [v for _, v in distribution]
     return rng.choices(values, weights)[0]
+
+
+def _oracle_subgroup(b, a, contiguous: bool) -> bool:
+    """b's graphemes inside a's, in order: as one run, or as any subsequence."""
+    if contiguous:
+        return any(a[i : i + len(b)] == b for i in range(len(a) - len(b) + 1))
+    rest = iter(a)
+    return all(g in rest for g in b)
+
+
+def oracle_positional_stats(corpus: Corpus, gallows, prefixes, line_final_glyphs,
+                            contiguous_subgroup: bool = True) -> PositionalReport:
+    """The positional report counted token by token over ``corpus.lines``."""
+    para_first = [0, 0]
+    line_first = [0, 0]
+    line_internal = [0, 0]
+    final_hits = Counter()
+    final_totals = Counter()
+    total_len = 0
+    total_tokens = 0
+    parafirst_len = 0
+    parafirst_tokens = 0
+    second = {"shorter": 0, "longer": 0, "pairs": 0, "subgroup": 0}
+    internal_sub = [0, 0]
+
+    for line in corpus.lines:
+        if not line.tokens:
+            continue
+        words = [token.graphemes for token in line.tokens]
+        for m, word in enumerate(words):
+            total_len += len(word)
+            total_tokens += 1
+            if line.paragraph_initial:
+                parafirst_len += len(word)
+                parafirst_tokens += 1
+            bucket = line_first if m == 0 else line_internal
+            bucket[1] += 1
+            if word[0] in prefixes:
+                bucket[0] += 1
+            last_of_line = m == len(words) - 1
+            for k, g in enumerate(word):
+                if g in line_final_glyphs:
+                    final_totals[g] += 1
+                    if last_of_line and k == len(word) - 1:
+                        final_hits[g] += 1
+            if m >= 2:
+                internal_sub[1] += 1
+                if _oracle_subgroup(word, words[m - 1], contiguous_subgroup):
+                    internal_sub[0] += 1
+        if line.paragraph_initial:
+            para_first[1] += 1
+            if words[0][0] in gallows:
+                para_first[0] += 1
+        if len(words) >= 2:
+            second["pairs"] += 1
+            if len(words[1]) < len(words[0]):
+                second["shorter"] += 1
+            elif len(words[1]) > len(words[0]):
+                second["longer"] += 1
+            if _oracle_subgroup(words[1], words[0], contiguous_subgroup):
+                second["subgroup"] += 1
+
+    return PositionalReport(
+        paragraph_initial_gallows_rate=Rate(para_first[0], para_first[1]),
+        line_initial_prefix_rate=Rate(line_first[0], line_first[1]),
+        line_internal_prefix_rate=Rate(line_internal[0], line_internal[1]),
+        line_final_rates={
+            g: Rate(final_hits[g], final_totals[g]) for g in sorted(line_final_glyphs)
+        },
+        mean_token_length_overall=total_len / total_tokens,
+        mean_token_length_paragraph_first_lines=(
+            parafirst_len / parafirst_tokens if parafirst_tokens else float("nan")
+        ),
+        token_count=total_tokens,
+        paragraph_first_line_token_count=parafirst_tokens,
+        second_shorter_rate=Rate(second["shorter"], second["pairs"]),
+        second_longer_rate=Rate(second["longer"], second["pairs"]),
+        second_word_subgroup_rate=Rate(second["subgroup"], second["pairs"]),
+        internal_subgroup_rate=Rate(internal_sub[0], internal_sub[1]),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import hashlib
 import random
 import re
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -17,6 +17,7 @@ from selfcite.generator import (
     _kind_tables,
     _mutate,
     _pick_source,
+    _source_window,
     generate,
     shuffle_control,
     validate_signature,
@@ -133,9 +134,12 @@ def test_determinism_byte_identical():
     assert a.encode() == b.encode()
 
 
-# SHA-256 of format_transliteration(generate(...)) for 3000 tokens, made
-# before the source selection was memoised: any change to the RNG call
-# sequence or to the floats fed to rng.choices changes these bytes.
+# SHA-256 of format_transliteration(generate(...)) for 3000 tokens: any
+# change to the RNG call sequence or to the floats fed to rng.choices changes
+# these bytes. The first five were made before the source selection was
+# memoised; the last three, which cover the second-word strip, the
+# line-opening glyphs and the substitution-only edits, before the source
+# window was built once per line.
 GENERATOR_PINS = [
     ({"rng_seed": 1},
      "9212a6cbe228dc7e05c9516d4746608ffe82e62b8f0ce90d62037b43f3559d18"),
@@ -147,12 +151,20 @@ GENERATOR_PINS = [
      "6865315f228aa8d370e3d1de4af4d77f604ec920fa0bab210817100929ca191a"),
     ({"rng_seed": 1, "line_final_glyph_probability": 0.5},
      "bea09c94b0ee4c64cea110cd1ec27a70a2d4e8e4fd389bedab34bc0f1b672107"),
+    ({"rng_seed": 1, "second_word_strip_probability": 1.0},
+     "e7e2589b65e21ef80605ce8ca08b0ef7cf7a549313f29fccf95b3f3686b552ff"),
+    ({"rng_seed": 1, "paragraph_initial_gallows_probability": 1.0,
+      "line_initial_prefix_probability": 1.0},
+     "89ee3f82bf4895f511d398da2f258547d383affedd9b3c9512b138593f33257a"),
+    ({"rng_seed": 1, "mutation_kind_weights": (("substitute_similar", 1.0),)},
+     "330d58e98bd81cd0b7a4a0d6ec48593e6a3faed48f7d1cb50657a71473c431ee"),
 ]
 
 
 @pytest.mark.parametrize(
     "overrides, digest", GENERATOR_PINS,
-    ids=["seed1", "seed2", "uniform", "window1", "final_glyph"],
+    ids=["seed1", "seed2", "uniform", "window1", "final_glyph", "strip1",
+         "initials1", "substitute_only"],
 )
 def test_output_matches_pinned_digest(overrides, digest):
     params = GeneratorParams.defaults().replace(target_token_count=3000, **overrides)
@@ -172,20 +184,24 @@ def _window_lines(lengths, tag):
     history_lengths=st.lists(st.integers(0, 12), max_size=12),
     current_length=st.integers(0, 12),
     m=st.integers(0, 12),
+    spare_positions=st.integers(0, 3),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_pick_source_matches_per_candidate_oracle(
-    bias, window_lines, history_lengths, current_length, m, seed
+    bias, window_lines, history_lengths, current_length, m, spare_positions, seed
 ):
     params = GeneratorParams(
         source_position_bias=bias, source_window_lines=window_lines
     )
     history = _window_lines(history_lengths, "h")
     current = _window_lines([current_length], "c")[0]
+    # one window serves every position of its line
+    positions = m + 1 + spare_positions
+    window = _source_window(deque(history, maxlen=window_lines - 1), bias, positions)
     fast, slow = random.Random(seed), random.Random(seed)
-    for _ in range(3):
-        assert _pick_source(history, current, m, fast, params) == (
-            oracle_pick_source(history, current, m, slow, params)
+    for position in (m, m, *range(positions)):
+        assert _pick_source(window, current, position, fast, bias) == (
+            oracle_pick_source(history, current, position, slow, params)
         )
         assert fast.getstate() == slow.getstate()
 

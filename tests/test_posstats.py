@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from selfcite.corpus import normalize, parse_transliteration
+from selfcite.corpus import Locus, Token, normalize, parse_transliteration
+from selfcite.editdist import Alphabet
 from selfcite.posstats import is_subgroup, positional_stats, rank_frequency
 from selfcite.profiles import load_profile
 
-from helpers import assemble_corpus
+from helpers import assemble_corpus, oracle_positional_stats
 
 PROFILE = load_profile("vms")
 VMS = PROFILE.alphabet
@@ -133,6 +135,34 @@ def test_report_invariant_under_page_reordering():
     )
     swapped = _corpus(swapped_text)
     assert _stats(corpus) == _stats(swapped)
+
+
+# "ch" and "sh" share their characters with "c", "h" and "s": a contiguous
+# subgroup is a run of whole graphemes, so "c" is not one of "cho", whose
+# graphemes are ("ch", "o"), though its characters are.
+SHARED = Alphabet(graphemes=("c", "h", "ch", "sh", "s", "o", "m"))
+_GLYPHS = st.frozensets(st.sampled_from(SHARED.graphemes))
+_WORD = st.lists(st.sampled_from(SHARED.graphemes), min_size=1, max_size=4).map("".join)
+# one-token lines, and paragraphs of one line or several
+_PARAGRAPHS = st.lists(
+    st.lists(st.lists(_WORD, min_size=1, max_size=5), min_size=1, max_size=4),
+    min_size=1, max_size=4,
+)
+
+
+@given(paragraphs=_PARAGRAPHS, gallows=_GLYPHS, prefixes=_GLYPHS, finals=_GLYPHS,
+       contiguous=st.booleans())
+def test_report_matches_per_token_oracle(paragraphs, gallows, prefixes, finals, contiguous):
+    lines = [words for paragraph in paragraphs for words in paragraph]
+    para_ids = [n for n, paragraph in enumerate(paragraphs) for _ in paragraph]
+    records = [
+        (Locus("f1r", "P", n + 1, ""), tuple(map(Token, words)), para_id)
+        for n, (words, para_id) in enumerate(zip(lines, para_ids))
+    ]
+    corpus = normalize(assemble_corpus(records), SHARED, 1)
+    assert positional_stats(corpus, gallows, prefixes, finals, contiguous) == (
+        oracle_positional_stats(corpus, gallows, prefixes, finals, contiguous)
+    )
 
 
 # ---------------------------------------------------------------------------
