@@ -32,7 +32,7 @@ from selfcite.corpus import (
     parse_transliteration,
     read_text,
 )
-from selfcite.cooccur import GridSpec, compute_grid, render_grid
+from selfcite.cooccur import MAX_OFFSET, GridSpec, compute_grid, render_grid
 from selfcite.editdist import SegmentationError
 from selfcite.generator import (
     GeneratorParams,
@@ -376,8 +376,8 @@ def _cmd_rerun(args) -> int:
 # parser construction
 # ---------------------------------------------------------------------------
 
-def _int_at_least(minimum: int):
-    """An argparse ``type=`` that rejects integers below ``minimum``."""
+def _int_within(minimum: int, maximum: int | None = None):
+    """An argparse ``type=`` that rejects integers outside [minimum, maximum]."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -385,12 +385,15 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
     return parse
 
 
-_positive_int = _int_at_least(1)
-_non_negative_int = _int_at_least(0)
+_positive_int = _int_within(1)
+_non_negative_int = _int_within(0)
+_window_offset = _int_within(1, MAX_OFFSET)
 
 
 def _add_io_options(sub):
@@ -443,9 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("grid", help="co-occurrence grid")
     _add_io_options(sub)
     sub.add_argument("--distance", type=_non_negative_int, default=0)
-    sub.add_argument("--rows", type=_positive_int, default=9,
+    sub.add_argument("--rows", type=_window_offset, default=9,
                      help="number of previous lines in the window")
-    sub.add_argument("--cols", type=_positive_int, default=None,
+    sub.add_argument("--cols", type=_window_offset, default=None,
                      help="position offsets each side (default: profile value)")
     sub.add_argument("--drop-line-edges", action="store_true",
                      dest="drop_line_edges",

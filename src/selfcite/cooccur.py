@@ -14,12 +14,12 @@ at render time. Type ids come from the corpus's id stream,
 both the prefilter and the distance kernel. Grids for several target
 distances are computed in one pass, bounded by the largest distance:
 
-1. The corpus's id stream becomes one flat array, each line padded with
-   blank (-1) cells to twice the longest line's length, at most that plus
-   ``max_pos_offset``. Window cell (i, j) is one shift ``s = i * width - j``:
-   targets ``flat[s:]`` meet candidates ``flat[:-s]``, a candidate off its
-   line lands in padding, and a cell past the corpus or its longest line is
-   skipped.
+1. The cells are those the data reaches: rows up to the last line and
+   offsets ``|j|`` up to ``reach``, the smaller of ``max_pos_offset`` and
+   one less than the longest line's length. The corpus's id stream becomes
+   one flat array, each line padded with ``reach`` blank (-1) cells. Window
+   cell (i, j) is one shift ``s = i * width - j``: targets ``flat[s:]`` meet
+   candidates ``flat[:-s]``, and a candidate off its line lands in padding.
 2. On these slices each cell counts its pair instances and, as distance-0
    matches, those of a type with itself. It gathers the others that the
    lower bounds of :func:`selfcite.editdist.within_lower_bounds`, read per
@@ -27,9 +27,9 @@ distances are computed in one pass, bounded by the largest distance:
    distinct keys with a count each, so memory follows distinct pairs.
 3. One :func:`selfcite.editdist.bounded_distances` batch codes the window's
    distinct kept pairs.
-4. Each cell looks its keys up among the pairs within the bound only and
-   sums their counts at each requested distance, so memory follows the
-   data, not the bound.
+4. Each cell looks its keys up among those distinct pairs and sums their
+   counts at each requested distance, so memory follows the data, not the
+   bound or the window.
 
 numpy is imported inside the functions that use it, so importing this module
 (as the CLI does for every command) does not load it.
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from selfcite.corpus import Corpus, csv_bytes
 from selfcite.editdist import Alphabet, bounded_distances, within_lower_bounds, word_arrays
@@ -47,6 +47,10 @@ from selfcite.editdist import Alphabet, bounded_distances, within_lower_bounds, 
 # without it. cooccur never calls it, so the traced
 # ``editdist.bounded_distance_ids.calls`` reads 0.
 from selfcite.editdist import bounded_distance_ids  # noqa: F401
+
+# The largest ``--rows``, ``--cols`` and profile ``grid_pos_offset``: a rendered
+# table holds one entry per window cell, and a 1000 x 2001 SVG takes about 3 s.
+MAX_OFFSET = 1000
 
 
 @dataclass(frozen=True)
@@ -65,14 +69,6 @@ class GridSpec:
         if self.max_pos_offset < 1:
             raise ValueError("max_pos_offset must be >= 1")
 
-    def iter_cells(self) -> Iterator[tuple[int, int]]:
-        """All (line_offset, pos_offset) cells; row 0 keeps only j < 0."""
-        for i in range(self.max_line_offset + 1):
-            for j in range(-self.max_pos_offset, self.max_pos_offset + 1):
-                if i == 0 and j >= 0:
-                    continue
-                yield (i, j)
-
 
 @dataclass
 class GridCell:
@@ -89,11 +85,14 @@ class GridCell:
 
 @dataclass(frozen=True)
 class CooccurrenceGrid:
+    """Per-cell counts of a window. ``cells`` holds only the cells the data
+    reaches (on row 0, left of the writing position); an absent cell has no pairs."""
+
     spec: GridSpec
     cells: dict[tuple[int, int], GridCell]
 
     def proportion(self, line_offset: int, pos_offset: int) -> float | None:
-        return self.cells[(line_offset, pos_offset)].proportion
+        return self.cells.get((line_offset, pos_offset), GridCell()).proportion
 
     def row_mean(self, line_offset: int) -> float | None:
         """Unweighted mean of the defined cell proportions in one row."""
@@ -118,18 +117,18 @@ def _distinct(keys):
 
 
 def _key_dtype(n_types: int):
-    """The smallest signed dtype that holds ``n_types**2``: every canonical
-    pair key ``lo * n_types + hi`` and the sentinel above them."""
+    """The smallest signed dtype that holds every canonical pair key
+    ``lo * n_types + hi``."""
     import numpy as np
 
-    return np.min_scalar_type(-n_types * n_types - 1)
+    return np.min_scalar_type(-n_types * n_types)
 
 
-def _cell_keys(corpus: Corpus, spec: GridSpec, cells, bound: int):
+def _cell_keys(corpus: Corpus, spec: GridSpec, bound: int):
     """The :func:`word_arrays` table of the corpus's types, in id order, and
-    per window cell: its pair instances, its distance-0 matches, and the
-    distinct keys of its other instances within the lower bounds, with a
-    count each."""
+    per window cell that the data reaches: its pair instances, its
+    distance-0 matches, and the distinct keys of its other instances within
+    the lower bounds, with a count each."""
     import numpy as np
 
     segmentations = corpus.segmentations()
@@ -141,8 +140,11 @@ def _cell_keys(corpus: Corpus, spec: GridSpec, cells, bound: int):
     key_type = _key_dtype(n_types)
     line_lengths = np.diff(corpus.offsets)
     n_lines, widest = len(line_lengths), int(line_lengths.max())
-    # A cell past the widest line is skipped, so no shift needs more padding.
-    width = widest + min(spec.max_pos_offset, widest) or 1
+    # A shift past the last line or the widest line pairs nothing, so the
+    # cells stop there and no shift needs more padding than ``reach``.
+    rows = min(spec.max_line_offset, n_lines - 1)
+    reach = max(min(spec.max_pos_offset, widest - 1), 0)
+    width = widest + reach or 1
     matrix = np.full((n_lines, width), -1, dtype=np.int32)
     matrix[np.arange(width) < line_lengths[:, None]] = np.frombuffer(corpus.ids, np.intc)
     if spec.drop_line_edges:  # column -1 of a token-less line is padding
@@ -156,23 +158,21 @@ def _cell_keys(corpus: Corpus, spec: GridSpec, cells, bound: int):
     lengths = np.append(np.minimum(type_lengths, 2**15 - 1), 0).astype(np.int16)[flat]
     folded = np.append(type_masks ^ type_masks >> 32, np.uint64(0))
     masks = folded.astype(np.uint32)[flat]
-    per_cell, no_pairs = [], (0, 0, *_distinct(np.empty(0, key_type)))
-    for i, j in cells:
-        if i >= n_lines or abs(j) >= widest:  # the shift lies past the data
-            per_cell.append(no_pairs)
-            continue
-        s = i * width - j
-        target, cand = slice(s, None), slice(len(flat) - s)
-        a, b = flat[target], flat[cand]
-        pairs = filled[target] & filled[cand]
-        equal = a == b
-        kept = np.flatnonzero(pairs & ~equal & within_lower_bounds(
-            lengths[target], lengths[cand], masks[target], masks[cand], bound, indel,
-        ))
-        a, b = a[kept].astype(key_type), b[kept].astype(key_type)
-        keys, counts = _distinct(np.minimum(a, b) * n_types + np.maximum(a, b))
-        per_cell.append((int(np.count_nonzero(pairs)),
-                         int(np.count_nonzero(pairs & equal)), keys, counts))
+    per_cell = {}
+    for i in range(rows + 1):
+        for j in range(-reach, reach + 1 if i else 0):  # row 0: only j < 0
+            s = i * width - j
+            target, cand = slice(s, None), slice(len(flat) - s)
+            a, b = flat[target], flat[cand]
+            pairs = filled[target] & filled[cand]
+            equal = a == b
+            kept = np.flatnonzero(pairs & ~equal & within_lower_bounds(
+                lengths[target], lengths[cand], masks[target], masks[cand], bound, indel,
+            ))
+            a, b = a[kept].astype(key_type), b[kept].astype(key_type)
+            keys, counts = _distinct(np.minimum(a, b) * n_types + np.maximum(a, b))
+            per_cell[(i, j)] = (int(np.count_nonzero(pairs)),
+                                int(np.count_nonzero(pairs & equal)), keys, counts)
     return words, per_cell
 
 
@@ -195,21 +195,16 @@ def compute_grids(
     if min(distances) < 0:
         raise ValueError("target distances must be >= 0")
     bound = max(distances)
-    cells = list(spec.iter_cells())
-    words, per_cell = _cell_keys(corpus, spec, cells, bound)
+    words, per_cell = _cell_keys(corpus, spec, bound)
     n_types = max(len(words[1]), 1)
-    all_keys, _ = _distinct(np.concatenate([keys for _, _, keys, _ in per_cell]))
+    empty = np.empty(0, _key_dtype(n_types))  # a corpus may reach no cell
+    all_keys, _ = _distinct(np.concatenate(
+        [empty, *(keys for _, _, keys, _ in per_cell.values())]))
     lo, hi = np.divmod(all_keys, n_types)
     codes = bounded_distances(words, lo, hi, bound, spec.alphabet)
-    near = codes <= bound
-    # A sentinel above every key takes the keys beyond the bound.
-    near_keys = np.append(all_keys[near], all_keys.dtype.type(n_types * n_types))
-    near_codes = np.append(codes[near], bound + 1)
     grids = {d: {} for d in distances}
-    for cell, (pair_count, same_count, keys, counts) in zip(cells, per_cell):
-        at = np.searchsorted(near_keys, keys)
-        at[near_keys[at] != keys] = -1
-        found = near_codes[at]
+    for cell, (pair_count, same_count, keys, counts) in per_cell.items():
+        found = codes[np.searchsorted(all_keys, keys)]  # every key is in all_keys
         for d in distances:  # plus, at 0, any two raw words with equal graphemes
             matches = int(counts[found == d].sum()) + (same_count if d == 0 else 0)
             grids[d][cell] = GridCell(pair_count, matches)
@@ -258,17 +253,13 @@ def _table_rows(grid: CooccurrenceGrid) -> list[list[str]]:
     for i in range(spec.max_line_offset, -1, -1):
         row = [_row_label(i)]
         for j in range(-spec.max_pos_offset, spec.max_pos_offset + 1):
+            cell = grid.cells.get((i, j))
             if i == 0 and j == 0:
                 row.append("x")
-            elif (i, j) not in grid.cells:
+            elif cell is None or not cell.pair_count:
                 row.append("")
             else:
-                cell = grid.cells[(i, j)]
-                row.append(
-                    format_percent(cell.match_count, cell.pair_count)
-                    if cell.pair_count
-                    else ""
-                )
+                row.append(format_percent(cell.match_count, cell.pair_count))
         rows.append(row)
     return rows
 
@@ -317,14 +308,14 @@ def _render_svg(grid: CooccurrenceGrid) -> bytes:
         )
         for c, j in enumerate(range(-spec.max_pos_offset, spec.max_pos_offset + 1)):
             x = _SVG_LEFT + c * _SVG_CELL_W
+            cell = grid.cells.get((i, j))
             if i == 0 and j == 0:
                 fill = "url(#hatch)"
                 title = "writing position"
-            elif (i, j) not in grid.cells or not grid.cells[(i, j)].pair_count:
+            elif cell is None or not cell.pair_count:
                 fill = "white"
                 title = ""
             else:
-                cell = grid.cells[(i, j)]
                 shade = 0.0 if vmax == 0 else cell.proportion / vmax
                 # monochrome ramp, darker = higher proportion
                 level = 255 - round(200 * shade)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import contains, mul
+from operator import contains, itemgetter, mul
 
 from selfcite.corpus import Corpus
 
@@ -182,5 +182,7 @@ def positional_stats(
 
 def rank_frequency(corpus: Corpus) -> list[tuple[int, str, int]]:
     """Types by descending count, ties broken lexicographically, ranks 1-based."""
-    ordered = sorted(zip(corpus.words, corpus.counts), key=lambda wc: (-wc[1], wc[0]))
+    # by word, then stably by descending count: no key tuple per type
+    ordered = sorted(zip(corpus.words, corpus.counts), key=itemgetter(0))
+    ordered.sort(key=itemgetter(1), reverse=True)
     return [(rank, word, count) for rank, (word, count) in enumerate(ordered, start=1)]

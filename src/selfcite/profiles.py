@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from selfcite.cooccur import MAX_OFFSET
 from selfcite.corpus import Corpus, EmptyCorpusError, decode_text, read_bytes
 from selfcite.corpus import require_int, require_strings
 from selfcite.editdist import Alphabet
@@ -81,10 +82,10 @@ def _profile_from_dict(data, name: str, digest: str) -> Profile:
     name = data.get("name", name)
     if not isinstance(name, str):
         raise ValueError(f"name must be a string, got {name!r}")
-    grid_pos_offset = require_int("grid_pos_offset", data.get("grid_pos_offset", 6))
-    if grid_pos_offset < 1:
-        raise ValueError(f"grid_pos_offset must be >= 1, got {grid_pos_offset}")
-    return Profile(name, alphabet, **glyphs, grid_pos_offset=grid_pos_offset, digest=digest)
+    offset = require_int("grid_pos_offset", data.get("grid_pos_offset", 6))
+    if not 1 <= offset <= MAX_OFFSET:
+        raise ValueError(f"grid_pos_offset must be >= 1 and <= {MAX_OFFSET}, got {offset}")
+    return Profile(name, alphabet, **glyphs, grid_pos_offset=offset, digest=digest)
 
 
 def load_profile(spec: str | Path) -> Profile:

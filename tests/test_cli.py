@@ -55,19 +55,24 @@ def test_unknown_flag_is_usage_error(toy_input, capsys):
 
 
 def test_out_of_range_values_are_usage_errors(toy_input, capsys):
-    for argv in (
-        ["grid", "--input", str(toy_input), "--rows", "0"],
-        ["grid", "--input", str(toy_input), "--cols", "0"],
-        ["grid", "--input", str(toy_input), "--distance", "-1"],
-        ["stats", "--input", str(toy_input), "--min-graphemes", "-1"],
-        ["generate", "--tokens", "0"],
-        ["network", "--input", str(toy_input), "--min-freq", "-5"],
-        ["path", "--input", str(toy_input), "--min-freq", "0", "--from", "a", "--to", "b"],
+    for argv, message in (
+        (["grid", "--input", str(toy_input), "--rows", "0"], "must be at least 1"),
+        (["grid", "--input", str(toy_input), "--cols", "0"], "must be at least 1"),
+        (["grid", "--input", str(toy_input), "--rows", "1001"], "must be at most 1000"),
+        (["grid", "--input", str(toy_input), "--cols", "100000"], "must be at most 1000"),
+        (["grid", "--input", str(toy_input), "--distance", "-1"], "must be at least 0"),
+        (["stats", "--input", str(toy_input), "--min-graphemes", "-1"], "must be at least 0"),
+        (["generate", "--tokens", "0"], "must be at least 1"),
+        (["network", "--input", str(toy_input), "--min-freq", "-5"], "must be at least 1"),
+        (["path", "--input", str(toy_input), "--min-freq", "0", "--from", "a", "--to", "b"],
+         "must be at least 1"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
-        assert "must be at least" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err, argv
+        assert sum("error:" in line for line in err.splitlines()) == 1, err
 
 
 def test_missing_file_is_data_error(capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from selfcite import cooccur
 from selfcite.cooccur import (
+    MAX_OFFSET,
     CooccurrenceGrid,
     GridCell,
     GridSpec,
@@ -46,9 +47,18 @@ def _segmented(text, segment):
 
 
 def _counts(grid):
-    return {
-        cell: (gc.pair_count, gc.match_count) for cell, gc in grid.cells.items()
-    }
+    """Every window cell's (pairs, matches), an absent cell read as (0, 0);
+    asserts that the grid holds no cell outside its window."""
+    spec = grid.spec
+    window = [(i, j) for i in range(spec.max_line_offset + 1)
+              for j in range(-spec.max_pos_offset, spec.max_pos_offset + 1)
+              if i or j < 0]
+    assert set(grid.cells) <= set(window)
+    counts = {}
+    for cell in window:
+        gc = grid.cells.get(cell, GridCell())
+        counts[cell] = (gc.pair_count, gc.match_count)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +301,8 @@ def test_windows_beyond_the_corpus_match_brute_force(rows, cols, drop):
 
 def test_cells_past_the_data_are_skipped(monkeypatch):
     # rows past the last line and columns past the widest line hold no pair,
-    # so only the 2 + 5 cells of rows 0 and 1 with |j| < 3 run the bounds
+    # so the grid holds, and the bounds run on, only the 2 + 5 cells of rows
+    # 0 and 1 with |j| < 3
     calls = []
 
     def counted(*args):
@@ -303,7 +314,37 @@ def test_cells_past_the_data_are_skipped(monkeypatch):
     spec = GridSpec(alphabet=XYZ, max_line_offset=50, max_pos_offset=40)
     grid = compute_grid(corpus, spec, 1)
     assert len(calls) == 7
+    assert len(grid.cells) == 7
     assert _counts(grid) == brute_force_grid_counts(corpus, XYZ, 50, 40, 1)
+
+
+def test_absent_cell_has_no_proportion():
+    corpus = _corpus([["x", "y"], ["x", "z"]], XYZ)
+    grid = compute_grid(corpus, GridSpec(alphabet=XYZ, max_line_offset=3,
+                                         max_pos_offset=3))
+    assert (3, 0) not in grid.cells and (1, 3) not in grid.cells
+    assert grid.proportion(3, 0) is None
+    assert grid.proportion(1, 3) is None
+    assert grid.proportion(0, 1) is None
+
+
+def test_window_at_the_bound_allocates_by_the_data():
+    # a 1000 x 1000 window over 3 lines: the cells follow the data, so the
+    # grid costs kilobytes; only the rendered table has one entry per cell
+    corpus = _corpus([["x", "yx", "z"], ["xy", "z"], ["z", "x", "y", "x"]], XYZ)
+    spec = GridSpec(alphabet=XYZ, max_line_offset=MAX_OFFSET, max_pos_offset=MAX_OFFSET)
+    compute_grids(corpus, replace(spec, max_line_offset=2, max_pos_offset=2), (0, 1))
+    tracemalloc.start()
+    try:
+        grids = compute_grids(corpus, spec, (0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert len(grids[0].cells) == 3 + 2 * 7
+    rows = render_grid(grids[1], "csv").decode().splitlines()
+    assert len(rows) == 1 + MAX_OFFSET + 1
+    assert {row.count(",") for row in rows} == {2 * MAX_OFFSET + 1}
 
 
 def test_huge_distance_allocates_by_the_data():

@@ -59,6 +59,7 @@ def test_load_profile_unknown_name():
     ('{"graphemes": ["a"], "grid_pos_offset": 2.7}', "grid_pos_offset must be an integer"),
     ('{"graphemes": ["a"], "grid_pos_offset": true}', "grid_pos_offset must be an integer"),
     ('{"graphemes": ["a"], "grid_pos_offset": 0}', "grid_pos_offset must be >= 1"),
+    ('{"graphemes": ["a"], "grid_pos_offset": 1001}', "grid_pos_offset must be .* <= 1000"),
     ('{"graphemes": ["k", "t"], "gallows": 5}', "gallows must be a list of strings"),
     ('{"graphemes": ["k", "t"], "gallows": "kt"}', "gallows must be a list of strings"),
     ('{"graphemes": ["a"], "name": 5}', "name must be a string"),
