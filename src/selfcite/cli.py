@@ -166,6 +166,26 @@ def _input_paths(args) -> list[str]:
     return paths
 
 
+def _aliased_output(args) -> str | None:
+    """Why an output path, once resolved, names an input or an earlier
+    output of the same run, or None when each is its own file. Outputs are
+    listed in the order they are written."""
+    out = getattr(args, "out", None)
+    outputs = [
+        ("--rank-frequency-out", getattr(args, "rank_frequency_out", None)),
+        ("--out", out),
+        ("the manifest", out and out + ".manifest.json"),
+    ]
+    seen = {os.path.realpath(path): f"the input {path}" for path in _input_paths(args)}
+    for flag, path in outputs:
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                return f"{flag} {path} is the same file as {seen[real]}"
+            seen[real] = f"{flag} {path}"
+    return None
+
+
 def _emit(args, data: bytes, **manifest_extras) -> None:
     """Write to ``--out`` with a manifest, or to stdout when it is unset."""
     if args.out:
@@ -508,6 +528,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "kind", None) == "plaintext" and args.units is not None:
         parser.error("--units applies to transliterations only")
+    if clash := _aliased_output(args):  # checked before anything is written
+        parser.error(clash)
     args.argv = list(argv)
     try:
         return args.func(args)

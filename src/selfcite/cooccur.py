@@ -37,41 +37,53 @@ numpy is imported inside the functions that use it, so importing this module
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from selfcite.corpus import Corpus, csv_bytes
-from selfcite.editdist import Alphabet, bounded_distances, within_lower_bounds, word_arrays
+from selfcite.editdist import (
+    Alphabet,
+    bounded_distances,
+    checked_replace,
+    within_lower_bounds,
+    word_arrays,
+)
 # Re-exported: bench/spans.py wraps this name here, and its traced run fails
 # without it. cooccur never calls it, so the traced
 # ``editdist.bounded_distance_ids.calls`` reads 0.
 from selfcite.editdist import bounded_distance_ids  # noqa: F401
 
-# The largest ``--rows``, ``--cols`` and profile ``grid_pos_offset``: a rendered
-# table holds one entry per window cell, and a 1000 x 2001 SVG takes about 3 s.
+# The largest window offset a grid takes (``--rows``, ``--cols``, a profile's
+# ``grid_pos_offset`` and a library ``GridSpec``): a rendered table holds one
+# entry per window cell, and a 1000 x 2001 SVG takes about 3 s.
 MAX_OFFSET = 1000
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Window shape of a co-occurrence grid and the alphabet whose costs
-    measure distance."""
-
+class _GridSpecFields(NamedTuple):
     alphabet: Alphabet
     max_line_offset: int = 9
     max_pos_offset: int = 6
     drop_line_edges: bool = False
 
-    def __post_init__(self):
-        if self.max_line_offset < 1:
-            raise ValueError("max_line_offset must be >= 1")
-        if self.max_pos_offset < 1:
-            raise ValueError("max_pos_offset must be >= 1")
+
+class GridSpec(_GridSpecFields):
+    """Window shape of a co-occurrence grid and the alphabet whose costs
+    measure distance. Each offset is at least 1 and at most :data:`MAX_OFFSET`."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name in ("max_line_offset", "max_pos_offset"):
+            value = getattr(self, name)
+            if not 1 <= value <= MAX_OFFSET:
+                raise ValueError(f"{name} must be >= 1 and <= {MAX_OFFSET}, got {value}")
+        return self
+
+    _replace = __replace__ = checked_replace
 
 
-@dataclass
-class GridCell:
+class GridCell(NamedTuple):
     pair_count: int = 0
     match_count: int = 0
 
@@ -83,8 +95,7 @@ class GridCell:
         return self.match_count / self.pair_count
 
 
-@dataclass(frozen=True)
-class CooccurrenceGrid:
+class CooccurrenceGrid(NamedTuple):
     """Per-cell counts of a window. ``cells`` holds only the cells the data
     reaches (on row 0, left of the writing position); an absent cell has no pairs."""
 

@@ -35,14 +35,13 @@ import string
 import unicodedata
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, takewhile
 from operator import ne
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from selfcite.editdist import Alphabet
+from selfcite.editdist import Alphabet, checked_replace
 
 
 class ParseError(ValueError):
@@ -58,20 +57,27 @@ class EmptyCorpusError(ValueError):
     needs. The command line names the input file."""
 
 
-@dataclass(frozen=True, slots=True)
-class Locus:
-    """Source position of a line: page, text unit, line number."""
-
+class _LocusFields(NamedTuple):
     page: str
     unit: str
     line_no: int
     raw_tag: str
 
-    def __post_init__(self):
+
+class Locus(_LocusFields):
+    """Source position of a line: page, text unit, line number."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.page:
             raise ValueError("locus page must be nonempty")
         if self.line_no < 1:
             raise ValueError("locus line_no must be >= 1")
+        return self
+
+    _replace = __replace__ = checked_replace
 
     @property
     def unit_kind(self) -> str:
@@ -79,21 +85,27 @@ class Locus:
         return "".join(takewhile(str.isalpha, self.unit)) or self.unit
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    """A word type where it occurs: its raw word and its graphemes (None
-    until normalization)."""
-
+class _TokenFields(NamedTuple):
     raw: str
     graphemes: tuple[str, ...] | None = None
 
-    def __post_init__(self):
+
+class Token(_TokenFields):
+    """A word type where it occurs: its raw word and its graphemes (None
+    until normalization)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.raw:
             raise ValueError("token must be nonempty")
+        return self
+
+    _replace = __replace__ = checked_replace
 
 
-@dataclass(frozen=True, slots=True)
-class Line:
+class Line(NamedTuple):
     locus: Locus
     tokens: tuple[Token, ...]
     paragraph_initial: bool
@@ -101,18 +113,21 @@ class Line:
     paragraph_id: int
 
 
-@dataclass(frozen=True)
-class Corpus:
-    """A corpus in columns (see the module docstring): line ``n`` holds the
-    type ids ``ids[offsets[n]:offsets[n + 1]]``, a read-only memoryview of C
-    ints, sits at ``loci[n]`` and is in paragraph ``paragraph_ids[n]``."""
-
+class _CorpusFields(NamedTuple):
     words: tuple[str, ...]
     graphemes: tuple[tuple[str, ...] | None, ...]
     ids: memoryview
     offsets: tuple[int, ...]
     loci: tuple[Locus, ...]
     paragraph_ids: tuple[int, ...]
+
+
+class Corpus(_CorpusFields):
+    """A corpus in columns (see the module docstring): line ``n`` holds the
+    type ids ``ids[offsets[n]:offsets[n + 1]]``, a read-only memoryview of C
+    ints, sits at ``loci[n]`` and is in paragraph ``paragraph_ids[n]``. A
+    named tuple has no instance dict, so the fields are one and this
+    subclass holds the dict that caches :attr:`counts` and :attr:`lines`."""
 
     @classmethod
     def from_rows(cls, records: Iterable[tuple[Locus, list[int], int]], words: Iterable[str],

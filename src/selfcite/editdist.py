@@ -25,9 +25,8 @@ Its reference is the scalar banded DP ``oracle_bounded_distance`` in
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 # numpy is imported inside the distance routines only, so the commands that
 # never compute a distance do not pay for loading it.
@@ -47,22 +46,35 @@ class SegmentationError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Grapheme inventory, similarity classes, and edit costs."""
+def checked_replace(self, /, **changes):
+    """namedtuple's ``_replace`` through the record's own ``__new__``, so a
+    replaced field is checked as a constructed one is. A record that checks
+    its fields sets this as ``_replace`` and as ``__replace__``, which
+    ``copy.replace`` calls; namedtuple's own builds the tuple unchecked."""
+    record = type(self)(*map(changes.pop, self._fields, self))
+    if changes:
+        raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+    return record
 
+
+class _AlphabetFields(NamedTuple):
     graphemes: tuple[str, ...]
     similarity_groups: tuple[frozenset[str], ...] = ()
     similar_substitution_cost: int = 1
     dissimilar_substitution_cost: int = 2
     indel_cost: int = 1
 
-    def __post_init__(self):
-        object.__setattr__(self, "graphemes", tuple(self.graphemes))
-        object.__setattr__(
+
+class Alphabet(_AlphabetFields):
+    """Grapheme inventory, similarity classes, and edit costs."""
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        # namedtuple's own _replace: a plain tuple build, not a second check
+        self = _AlphabetFields._replace(
             self,
-            "similarity_groups",
-            tuple(frozenset(g) for g in self.similarity_groups),
+            graphemes=tuple(self.graphemes),
+            similarity_groups=tuple(frozenset(g) for g in self.similarity_groups),
         )
         if not self.graphemes:
             raise ValueError("alphabet needs at least one grapheme")
@@ -97,6 +109,9 @@ class Alphabet:
             raise ValueError(
                 "dissimilar_substitution_cost must be at most twice indel_cost"
             )
+        return self
+
+    _replace = __replace__ = checked_replace
 
     @classmethod
     def single_characters(cls, chars: Iterable[str]) -> "Alphabet":

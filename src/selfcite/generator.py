@@ -22,12 +22,11 @@ import math
 import random
 from bisect import bisect
 from collections import deque
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from importlib import resources
 from itertools import accumulate, chain, count, repeat
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from selfcite.corpus import (
     Corpus,
@@ -39,7 +38,7 @@ from selfcite.corpus import (
     require_strings,
 )
 from selfcite.cooccur import GridSpec, compute_grids, summarize_decay
-from selfcite.editdist import Alphabet
+from selfcite.editdist import Alphabet, checked_replace
 
 _PAGE_CAPACITY_LINES = 25
 
@@ -97,10 +96,7 @@ def _distribution(name: str, value) -> tuple[tuple[int, float], ...]:
     return items
 
 
-@dataclass(frozen=True)
-class GeneratorParams:
-    """Full parameterization of the generation process; seedable."""
-
+class _GeneratorParamsFields(NamedTuple):
     seed_words: tuple[str, ...] = ("daiin", "ol", "chedy")
     copy_probability: float = 0.9
     mutation_count_distribution: tuple[tuple[int, float], ...] = ((0, 0.5), (1, 0.3), (2, 0.2))
@@ -122,26 +118,36 @@ class GeneratorParams:
     rng_seed: int = 1
     target_token_count: int = 10_000
 
-    def __post_init__(self):
-        for name in (
-            "seed_words",
-            "prefix_graphemes",
-            "gallows_graphemes",
-            "line_final_glyphs",
-            "excluded_graphemes",
-        ):
-            object.__setattr__(self, name, require_strings(name, getattr(self, name)))
+
+class GeneratorParams(_GeneratorParamsFields):
+    """Full parameterization of the generation process; seedable."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        normalized = {
+            name: require_strings(name, getattr(self, name))
+            for name in (
+                "seed_words",
+                "prefix_graphemes",
+                "gallows_graphemes",
+                "line_final_glyphs",
+                "excluded_graphemes",
+            )
+        }
         for name in (
             "mutation_count_distribution",
             "line_length_distribution",
             "paragraph_length_distribution",
         ):
-            object.__setattr__(self, name, _distribution(name, getattr(self, name)))
-        kinds = tuple(
+            normalized[name] = _distribution(name, getattr(self, name))
+        kinds = normalized["mutation_kind_weights"] = tuple(
             (str(k), v)
             for k, v in _pairs("mutation_kind_weights", self.mutation_kind_weights)
         )
-        object.__setattr__(self, "mutation_kind_weights", kinds)
+        # namedtuple's own _replace: a plain tuple build, not a second check
+        self = _GeneratorParamsFields._replace(self, **normalized)
         for name in ("source_window_lines", "rng_seed", "target_token_count"):
             require_int(name, getattr(self, name))
         if not self.seed_words:
@@ -176,6 +182,9 @@ class GeneratorParams:
             raise ValueError(f"unknown source_position_bias {bias!r}")
         if self.target_token_count < 1:
             raise ValueError("target_token_count must be >= 1")
+        return self
+
+    _replace = __replace__ = checked_replace
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorParams":
@@ -191,7 +200,7 @@ class GeneratorParams:
         ):
             if key in data and isinstance(data[key], dict):
                 data[key] = tuple(data[key].items())
-        unknown = set(data) - {f for f in cls.__dataclass_fields__}
+        unknown = set(data) - set(cls._fields)
         if unknown:
             raise ValueError(f"unknown generator parameters: {sorted(unknown)}")
         return cls(**data)
@@ -206,11 +215,11 @@ class GeneratorParams:
 
     @classmethod
     def defaults(cls) -> "GeneratorParams":
-        raw = resources.files("selfcite.data").joinpath("generator_defaults.json")
+        raw = Path(__file__).with_name("data").joinpath("generator_defaults.json")
         return cls.from_dict(json.loads(raw.read_text(encoding="utf-8")))
 
     def replace(self, **changes) -> "GeneratorParams":
-        return replace(self, **changes)
+        return self._replace(**changes)
 
 
 def _table(values, weights) -> tuple:
@@ -454,15 +463,19 @@ def shuffle_control(corpus: Corpus, rng_seed: int) -> Corpus:
     return corpus.relabeled(zip(corpus.loci, rows, corpus.paragraph_ids))
 
 
-@dataclass(frozen=True)
-class SignatureReport:
+class SignatureReport(NamedTuple):
     """Co-occurrence signature of a corpus, as used by the generator check."""
 
     token_count: int
     adjacency_lift: float
     row_decay: dict[int, bool]
     natural_text_contrast: float
-    row_means: dict[int, dict[int, float]] = field(repr=False)
+    row_means: dict[int, dict[int, float]]
+
+    def __repr__(self) -> str:  # without the bulky row_means
+        return (f"SignatureReport(token_count={self.token_count!r}, "
+                f"adjacency_lift={self.adjacency_lift!r}, row_decay={self.row_decay!r}, "
+                f"natural_text_contrast={self.natural_text_contrast!r})")
 
     @property
     def row_decay_ok(self) -> bool:

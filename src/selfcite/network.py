@@ -22,14 +22,13 @@ a corpus's own columns.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from selfcite.corpus import Corpus
 from selfcite.editdist import Alphabet, are_similar
 
 
-@dataclass(frozen=True)
-class TypeTable:
+class TypeTable(NamedTuple):
     """Distinct word types in columns: ``words[k]`` occurs ``counts[k]``
     times and splits into ``graphemes[k]``. Read from a corpus, the types
     are in order of first occurrence."""
@@ -59,8 +58,7 @@ class TypeTable:
         return counts
 
 
-@dataclass(frozen=True)
-class SimilarityGraph:
+class SimilarityGraph(NamedTuple):
     adjacency: dict[str, tuple[str, ...]]
 
     @property
@@ -152,8 +150,7 @@ def degree_coverage(graph: SimilarityGraph) -> float:
     return connected / len(graph.adjacency)
 
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(NamedTuple):
     type_a: str
     type_b: str
     grapheme_a: str

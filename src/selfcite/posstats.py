@@ -10,15 +10,14 @@ corpus's columns: each line's type ids, and each type's graphemes and count
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import contains, itemgetter, mul
+from typing import NamedTuple
 
 from selfcite.corpus import Corpus
 
 
-@dataclass(frozen=True)
-class Rate:
+class Rate(NamedTuple):
     hits: int
     total: int
 
@@ -27,8 +26,7 @@ class Rate:
         return self.hits / self.total if self.total else float("nan")
 
 
-@dataclass(frozen=True)
-class PositionalReport:
+class PositionalReport(NamedTuple):
     paragraph_initial_gallows_rate: Rate
     line_initial_prefix_rate: Rate
     line_internal_prefix_rate: Rate

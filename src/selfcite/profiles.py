@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from selfcite.cooccur import MAX_OFFSET
 from selfcite.corpus import Corpus, EmptyCorpusError, decode_text, read_bytes
@@ -24,8 +23,7 @@ from selfcite.editdist import Alphabet
 BUILTIN_PROFILES = ("vms",)
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     name: str
     alphabet: Alphabet
     gallows: frozenset[str]
@@ -91,11 +89,7 @@ def _profile_from_dict(data, name: str, digest: str) -> Profile:
 def load_profile(spec: str | Path) -> Profile:
     """Load a profile by builtin name ("vms") or from a JSON file path."""
     if isinstance(spec, str) and spec in BUILTIN_PROFILES:
-        raw = (
-            resources.files("selfcite.data.profiles")
-            .joinpath(f"{spec}.json")
-            .read_bytes()
-        )
+        raw = Path(__file__).with_name("data").joinpath("profiles", f"{spec}.json").read_bytes()
         name = spec
     else:
         path = Path(spec)

@@ -33,7 +33,6 @@ import re
 import string
 import unicodedata
 from collections import Counter
-from dataclasses import replace
 from itertools import chain, islice
 
 from selfcite.corpus import Corpus, Line, Locus, ParseError, Token
@@ -362,7 +361,7 @@ def oracle_normalize(lines, alphabet: Alphabet, min_graphemes: int):
         for token in line.tokens:
             graphemes = oracle_segment(token.raw, alphabet)
             if len(graphemes) >= min_graphemes:
-                tokens.append(replace(token, graphemes=graphemes))
+                tokens.append(token._replace(graphemes=graphemes))
         if tokens:
             kept.append((line.locus, tuple(tokens), line.paragraph_id))
     if not kept:
@@ -384,7 +383,7 @@ def oracle_shuffle_control(lines, rng_seed: int):
     tokens = [token for line in lines for token in line.tokens]
     random.Random(rng_seed).shuffle(tokens)
     shuffled = iter(tokens)
-    return tuple(replace(line, tokens=tuple(islice(shuffled, len(line.tokens))))
+    return tuple(line._replace(tokens=tuple(islice(shuffled, len(line.tokens))))
                  for line in lines)
 
 

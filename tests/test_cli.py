@@ -635,13 +635,39 @@ def test_rerun_of_a_rerun_manifest_is_data_error(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["shuffle", "--input", "x.evt", "--out", "./x.evt"],
+     "--out ./x.evt is the same file as the input x.evt"),
+    (["stats", "--input", "x.evt", "--out", "s.jsonl", "--rank-frequency-out", "s.jsonl"],
+     "--out s.jsonl is the same file as --rank-frequency-out s.jsonl"),
+    (["stats", "--input", "x.evt", "--rank-frequency-out", "sub/../x.evt"],
+     "--rank-frequency-out sub/../x.evt is the same file as the input x.evt"),
+], ids=["out_is_input", "outputs_collide", "rank_out_is_input"])
+def test_output_aliasing_an_input_or_output_is_usage_error(
+        argv, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("sub").mkdir()
+    Path("x.evt").write_text(TOY, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"selfcite: error: {named}"]
+    assert Path("x.evt").read_text(encoding="utf-8") == TOY
+    assert sorted(os.listdir()) == ["sub", "x.evt"]
+
+
 # Runs in a fresh interpreter, so modules the test session imported do not
-# count: every command but grid and validate must leave numpy unloaded.
+# count: every command but grid and validate must leave numpy unloaded, and
+# dataclasses and inspect with it (numpy imports inspect itself).
 NUMPY_FREE_SCRIPT = """
 import sys
 from selfcite import cli
 
-assert "numpy" not in sys.modules, "import selfcite.cli loaded numpy"
+SKIPPED = ("numpy", "dataclasses", "inspect")
+for name in SKIPPED:
+    assert name not in sys.modules, f"import selfcite.cli loaded {name}"
 toy, out = sys.argv[1:]
 runs = [
     ["profile", "--profile", "vms", "--out", f"{out}/profile.json"],
@@ -657,7 +683,8 @@ runs = [
 ]
 for argv in runs:
     assert cli.main(argv) == 0, argv
-    assert "numpy" not in sys.modules, f"{argv[0]} loaded numpy"
+    for name in SKIPPED:
+        assert name not in sys.modules, f"{argv[0]} loaded {name}"
 assert cli.main(["grid", "--input", toy, "--rows", "3", "--cols", "2",
                  "--out", f"{out}/grid.csv"]) == 0
 assert "numpy" in sys.modules, "grid did not load numpy"

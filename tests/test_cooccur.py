@@ -1,7 +1,6 @@
 import itertools
 import random
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,7 +39,7 @@ def _segmented(text, segment):
     ``segment(raw)``, so that token-less lines stay (normalize would drop
     them)."""
     return assemble_corpus([
-        (line.locus, tuple(replace(token, graphemes=segment(token.raw))
+        (line.locus, tuple(token._replace(graphemes=segment(token.raw))
                            for token in line.tokens), line.paragraph_id)
         for line in parse_transliteration(text).lines
     ])
@@ -333,7 +332,7 @@ def test_window_at_the_bound_allocates_by_the_data():
     # grid costs kilobytes; only the rendered table has one entry per cell
     corpus = _corpus([["x", "yx", "z"], ["xy", "z"], ["z", "x", "y", "x"]], XYZ)
     spec = GridSpec(alphabet=XYZ, max_line_offset=MAX_OFFSET, max_pos_offset=MAX_OFFSET)
-    compute_grids(corpus, replace(spec, max_line_offset=2, max_pos_offset=2), (0, 1))
+    compute_grids(corpus, spec._replace(max_line_offset=2, max_pos_offset=2), (0, 1))
     tracemalloc.start()
     try:
         grids = compute_grids(corpus, spec, (0, 1))
@@ -345,6 +344,15 @@ def test_window_at_the_bound_allocates_by_the_data():
     rows = render_grid(grids[1], "csv").decode().splitlines()
     assert len(rows) == 1 + MAX_OFFSET + 1
     assert {row.count(",") for row in rows} == {2 * MAX_OFFSET + 1}
+
+
+@pytest.mark.parametrize("field", ["max_line_offset", "max_pos_offset"])
+def test_library_window_shares_the_cli_bound(field):
+    # the library, the CLI and the profiles share one window bound
+    for value in (0, MAX_OFFSET + 1, 100_000):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1 and <= {MAX_OFFSET}"):
+            GridSpec(alphabet=XYZ, **{field: value})
+    assert getattr(GridSpec(alphabet=XYZ, **{field: MAX_OFFSET}), field) == MAX_OFFSET
 
 
 def test_huge_distance_allocates_by_the_data():

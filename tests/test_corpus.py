@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -529,7 +528,7 @@ def test_columnar_views_match_the_oracles(lines, source, steps, alphabet, seed):
         "units": lambda: oracle_parse_transliteration(text, frozenset({"P"})),
         "plaintext": lambda: oracle_parse_plaintext(plain),
         "generate": lambda: tuple(
-            replace(line, tokens=tuple(Token(t.raw, VMS.segment(t.raw)) for t in line.tokens))
+            line._replace(tokens=tuple(Token(t.raw, VMS.segment(t.raw)) for t in line.tokens))
             for line in oracle_parse_transliteration(text)
         ),
     }

@@ -1,11 +1,16 @@
+import copy
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from selfcite import editdist
+from selfcite.cooccur import MAX_OFFSET, GridSpec
+from selfcite.corpus import Locus, Token
+from selfcite.generator import GeneratorParams
 from selfcite.editdist import (
     Alphabet,
     SegmentationError,
@@ -433,3 +438,39 @@ def test_edit_distance_matches_oracle_on_long_words():
             assert edit_distance(a, b, VMS_LIKE, bound=bound) == \
                 oracle_bounded_distance(ea, eb, bound, VMS_LIKE), (a, b, bound)
     assert any(0 < d <= 7 for d in exact) and any(d > 7 for d in exact)
+
+
+# Each record that checks its fields, a valid instance, and one bad change.
+CHECKED_RECORDS = {
+    "Locus": (Locus("f1r", "P", 1, "<f1r.P.1>"), {"line_no": 0}),
+    "Token": (Token("daiin"), {"raw": ""}),
+    "Alphabet": (TINY, {"indel_cost": 0}),
+    "GridSpec": (GridSpec(TINY), {"max_pos_offset": MAX_OFFSET + 1}),
+    "GeneratorParams": (GeneratorParams(), {"copy_probability": 1.5}),
+}
+
+
+@pytest.mark.parametrize("name", CHECKED_RECORDS)
+def test_replace_checks_fields_as_the_constructor_does(name):
+    record, bad = CHECKED_RECORDS[name]
+    with pytest.raises(ValueError) as built:
+        type(record)(**{**record._asdict(), **bad})
+    replacements = [record._replace]
+    if sys.version_info >= (3, 13):
+        replacements.append(lambda **changes: copy.replace(record, **changes))
+    for replace in replacements:
+        with pytest.raises(ValueError) as replaced:
+            replace(**bad)
+        assert str(replaced.value) == str(built.value)
+        same = replace()
+        assert type(same) is type(record) and same == record
+    with pytest.raises(ValueError, match="unexpected field names"):
+        record._replace(no_such_field=1)
+
+
+def test_replace_normalizes_as_the_constructor_does():
+    alphabet = TINY._replace(graphemes=["a", "b", "c", "d"], similarity_groups=[["a", "d"]])
+    assert alphabet.graphemes == ("a", "b", "c", "d")
+    assert alphabet.similarity_groups == (frozenset({"a", "d"}),)
+    params = GeneratorParams().replace(line_length_distribution=[["3", 1]])
+    assert params.line_length_distribution == ((3, 1.0),)
