@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import os
 import sys
@@ -31,6 +30,7 @@ from selfcite.corpus import (
     parse_plaintext,
     parse_transliteration,
     read_text,
+    sha256_hex,
 )
 from selfcite.cooccur import MAX_OFFSET, GridSpec, compute_grid, render_grid
 from selfcite.editdist import SegmentationError
@@ -47,6 +47,11 @@ from selfcite.profiles import Profile, load_profile, profile_from_corpus
 RNG_ALGORITHM = "python-random-mt19937"
 
 
+class UsageError(Exception):
+    """Arguments that parse but cannot run together; exits 2 as argparse's
+    own usage errors do."""
+
+
 def _json(value, **options) -> str:
     """``value`` as strict JSON, with each non-finite float (a rate with no
     sample, an unbounded ratio) written as null."""
@@ -55,7 +60,7 @@ def _json(value, **options) -> str:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return sha256_hex(path.read_bytes())
 
 
 def _write_bytes(path: Path, data: bytes) -> None:
@@ -359,10 +364,12 @@ def _load_manifest(path: str) -> dict:
 def _cmd_rerun(args) -> int:
     """Re-execute a manifest. Its relative paths (inputs, outputs and the
     argv tokens naming them) are relative to the manifest's directory;
-    inputs are read from there and outputs go to ``--out-dir``."""
+    inputs are read from there and outputs go to ``--out-dir``, which must
+    not hold the manifest or the files it records."""
     manifest = _load_manifest(args.manifest)
     base = Path(args.manifest).parent
     argv = manifest["argv"]
+    originals = {os.path.realpath(args.manifest): f"the manifest {args.manifest}"}
     for entry in manifest["inputs"]:
         path = base / entry["path"]
         if not path.exists():
@@ -370,17 +377,24 @@ def _cmd_rerun(args) -> int:
         if _sha256(path) != entry["sha256"]:
             raise ValueError(f"manifest input changed: {path}")
         argv = [str(path) if token == entry["path"] else token for token in argv]
+        originals[os.path.realpath(path)] = f"the recorded input {path}"
+    for entry in manifest["outputs"]:
+        path = base / entry["path"]
+        originals[os.path.realpath(path)] = f"the recorded output {path}"
     out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValueError(f"cannot create --out-dir {out_dir}: {exc.strerror}") from None
     replaced = []
     for expected in manifest["outputs"]:
         original = expected["path"]
         fresh = out_dir / Path(original).name
+        for path in (fresh, fresh.with_name(fresh.name + ".manifest.json")):
+            if clash := originals.get(os.path.realpath(path)):
+                raise UsageError(f"--out-dir {out_dir}: {path} would overwrite {clash}")
         argv = [str(fresh) if token == original else token for token in argv]
         replaced.append((fresh, expected["sha256"]))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create --out-dir {out_dir}: {exc.strerror}") from None
     code = main(argv)
     if code != 0:
         raise ValueError(f"re-run exited with {code}")
@@ -533,6 +547,8 @@ def main(argv: list[str] | None = None) -> int:
     args.argv = list(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     except (ParseError, SegmentationError, ValueError) as exc:
         where = f"--input {args.input}: " if isinstance(exc, EmptyCorpusError) else ""
         print(f"error: {where}{exc}", file=sys.stderr)

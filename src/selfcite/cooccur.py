@@ -44,6 +44,7 @@ from selfcite.corpus import Corpus, csv_bytes
 from selfcite.editdist import (
     Alphabet,
     bounded_distances,
+    checked_make,
     checked_replace,
     within_lower_bounds,
     word_arrays,
@@ -81,6 +82,7 @@ class GridSpec(_GridSpecFields):
         return self
 
     _replace = __replace__ = checked_replace
+    _make = checked_make
 
 
 class GridCell(NamedTuple):

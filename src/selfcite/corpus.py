@@ -41,7 +41,17 @@ from operator import ne
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from selfcite.editdist import Alphabet, checked_replace
+# CPython's own SHA-256 (``_sha2`` from 3.12, ``_sha256`` before): hashlib's
+# loads OpenSSL's libcrypto, several MB of resident memory per process.
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
+from selfcite.editdist import Alphabet, checked_make, checked_replace
 
 
 class ParseError(ValueError):
@@ -78,6 +88,7 @@ class Locus(_LocusFields):
         return self
 
     _replace = __replace__ = checked_replace
+    _make = checked_make
 
     @property
     def unit_kind(self) -> str:
@@ -103,6 +114,7 @@ class Token(_TokenFields):
         return self
 
     _replace = __replace__ = checked_replace
+    _make = checked_make
 
 
 class Line(NamedTuple):
@@ -206,6 +218,11 @@ def read_bytes(path: str | Path) -> bytes:
         return Path(path).read_bytes()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def sha256_hex(data: bytes) -> str:
+    """The SHA-256 digest of ``data`` in hex."""
+    return _sha256(data).hexdigest()
 
 
 def decode_text(data: bytes, path: str | Path) -> str:

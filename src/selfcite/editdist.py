@@ -57,6 +57,18 @@ def checked_replace(self, /, **changes):
     return record
 
 
+@classmethod
+def checked_make(cls, iterable):
+    """namedtuple's ``_make`` through the record's own ``__new__``; a record
+    that checks its fields sets this as ``_make``. Its ``__new__`` then
+    stores normalized fields with ``tuple.__new__``, since the base's
+    ``_replace`` calls ``_make``."""
+    values = tuple(iterable)
+    if len(values) != len(cls._fields):
+        raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(values)}")
+    return cls(*values)
+
+
 class _AlphabetFields(NamedTuple):
     graphemes: tuple[str, ...]
     similarity_groups: tuple[frozenset[str], ...] = ()
@@ -70,12 +82,12 @@ class Alphabet(_AlphabetFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        # namedtuple's own _replace: a plain tuple build, not a second check
-        self = _AlphabetFields._replace(
-            self,
-            graphemes=tuple(self.graphemes),
-            similarity_groups=tuple(frozenset(g) for g in self.similarity_groups),
-        )
+        # a plain tuple build: the base's _replace calls the checked _make
+        self = tuple.__new__(cls, (
+            tuple(self.graphemes),
+            tuple(frozenset(g) for g in self.similarity_groups),
+            *self[2:],
+        ))
         if not self.graphemes:
             raise ValueError("alphabet needs at least one grapheme")
         if any(not g for g in self.graphemes):
@@ -112,6 +124,7 @@ class Alphabet(_AlphabetFields):
         return self
 
     _replace = __replace__ = checked_replace
+    _make = checked_make
 
     @classmethod
     def single_characters(cls, chars: Iterable[str]) -> "Alphabet":

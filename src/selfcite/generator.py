@@ -38,7 +38,7 @@ from selfcite.corpus import (
     require_strings,
 )
 from selfcite.cooccur import GridSpec, compute_grids, summarize_decay
-from selfcite.editdist import Alphabet, checked_replace
+from selfcite.editdist import Alphabet, checked_make, checked_replace
 
 _PAGE_CAPACITY_LINES = 25
 
@@ -146,8 +146,8 @@ class GeneratorParams(_GeneratorParamsFields):
             (str(k), v)
             for k, v in _pairs("mutation_kind_weights", self.mutation_kind_weights)
         )
-        # namedtuple's own _replace: a plain tuple build, not a second check
-        self = _GeneratorParamsFields._replace(self, **normalized)
+        # a plain tuple build: the base's _replace calls the checked _make
+        self = tuple.__new__(cls, map(normalized.get, self._fields, self))
         for name in ("source_window_lines", "rng_seed", "target_token_count"):
             require_int(name, getattr(self, name))
         if not self.seed_words:
@@ -185,6 +185,7 @@ class GeneratorParams(_GeneratorParamsFields):
         return self
 
     _replace = __replace__ = checked_replace
+    _make = checked_make
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorParams":

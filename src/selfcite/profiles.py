@@ -10,14 +10,13 @@ contains, with no similarity classes and unit costs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import NamedTuple
 
 from selfcite.cooccur import MAX_OFFSET
 from selfcite.corpus import Corpus, EmptyCorpusError, decode_text, read_bytes
-from selfcite.corpus import require_int, require_strings
+from selfcite.corpus import require_int, require_strings, sha256_hex
 from selfcite.editdist import Alphabet
 
 BUILTIN_PROFILES = ("vms",)
@@ -102,7 +101,7 @@ def load_profile(spec: str | Path) -> Profile:
         name = path.stem
     text = decode_text(raw, spec)
     try:
-        return _profile_from_dict(json.loads(text), name, hashlib.sha256(raw).hexdigest())
+        return _profile_from_dict(json.loads(text), name, sha256_hex(raw))
     except ValueError as exc:  # JSONDecodeError is one too
         raise ValueError(f"malformed profile {spec}: {exc}") from None
 
@@ -113,7 +112,7 @@ def profile_from_corpus(corpus: Corpus) -> Profile:
     if not chars:
         raise EmptyCorpusError("empty corpus")
     alphabet = Alphabet.single_characters(chars)
-    digest = hashlib.sha256(("chars:" + "".join(chars)).encode()).hexdigest()
+    digest = sha256_hex(("chars:" + "".join(chars)).encode())
     return Profile(
         name="chars",
         alphabet=alphabet,

@@ -1,8 +1,10 @@
 import csv
 import errno
+import hashlib
 import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -609,6 +611,39 @@ def test_rerun_out_dir_under_a_file_is_data_error(toy_input, tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("manifest, out_dir, named", [
+    ("o/p.evt.manifest.json", "o", "o/p.evt would overwrite the recorded output o/p.evt"),
+    ("x/p.evt.manifest.json", "o", "o/p.evt would overwrite the recorded input x/../o/p.evt"),
+    ("m/q.evt.manifest.json", "m",
+     "m/q.evt.manifest.json would overwrite the manifest m/q.evt.manifest.json"),
+], ids=["recorded_output", "recorded_input", "manifest"])
+def test_rerun_over_its_originals_is_usage_error(
+        manifest, out_dir, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("toy.evt").write_text(TOY, encoding="utf-8")
+    for directory in ("o", "x", "m"):
+        Path(directory).mkdir()
+    assert main(["parse", "--input", "toy.evt", "--out", "o/p.evt"]) == 0
+    assert main(["parse", "--input", "o/p.evt", "--out", "x/p.evt"]) == 0
+    # absolute paths, so that a copy of the manifest still finds its files
+    assert main(["parse", "--input", str(tmp_path / "toy.evt"),
+                 "--out", str(tmp_path / "o" / "q.evt")]) == 0
+    shutil.copy("o/q.evt.manifest.json", "m/q.evt.manifest.json")
+    files = sorted(Path().rglob("*.*"))
+    before = {path: (path.stat().st_ino, path.read_bytes()) for path in files}
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["rerun", manifest, "--out-dir", out_dir])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"selfcite: error: --out-dir {out_dir}: {named}"]
+    assert sorted(Path().rglob("*.*")) == files
+    assert {path: (path.stat().st_ino, path.read_bytes()) for path in files} == before
+    assert main(["rerun", manifest, "--out-dir", f"{out_dir}/r"]) == 0
+    assert capsys.readouterr().out.startswith(f"OK {out_dir}/r/")
+
+
 @pytest.mark.parametrize("content", ["{}", "[1]"], ids=["no_fields", "list"])
 def test_rerun_malformed_manifest_is_data_error(content, tmp_path, capsys):
     manifest = tmp_path / "run.manifest.json"
@@ -659,19 +694,27 @@ def test_output_aliasing_an_input_or_output_is_usage_error(
 
 
 # Runs in a fresh interpreter, so modules the test session imported do not
-# count: every command but grid and validate must leave numpy unloaded, and
-# dataclasses and inspect with it (numpy imports inspect itself).
+# count, and skips any module loaded before selfcite was (a site .pth may
+# import one). Every command but grid and validate must leave numpy
+# unloaded, and dataclasses and inspect with it (numpy imports inspect
+# itself). Every command must leave hashlib and OpenSSL's _hashlib unloaded:
+# grid and validate too, unless a bare ``import numpy`` loads them here.
 NUMPY_FREE_SCRIPT = """
+import subprocess
 import sys
+
+preloaded = set(sys.modules)
 from selfcite import cli
 
-SKIPPED = ("numpy", "dataclasses", "inspect")
+HASHLIB = [name for name in ("hashlib", "_hashlib") if name not in preloaded]
+SKIPPED = [name for name in ("numpy", "dataclasses", "inspect") if name not in preloaded]
+SKIPPED += HASHLIB
 for name in SKIPPED:
     assert name not in sys.modules, f"import selfcite.cli loaded {name}"
 toy, out = sys.argv[1:]
 runs = [
     ["profile", "--profile", "vms", "--out", f"{out}/profile.json"],
-    ["generate", "--tokens", "300", "--seed", "2", "--out", f"{out}/gen.evt"],
+    ["generate", "--tokens", "2500", "--seed", "2", "--out", f"{out}/gen.evt"],
     ["rerun", f"{out}/gen.evt.manifest.json", "--out-dir", f"{out}/rerun"],
     ["parse", "--input", toy, "--out", f"{out}/parsed.evt"],
     ["network", "--input", toy, "--min-freq", "1", "--out", f"{out}/edges.csv"],
@@ -685,9 +728,19 @@ for argv in runs:
     assert cli.main(argv) == 0, argv
     for name in SKIPPED:
         assert name not in sys.modules, f"{argv[0]} loaded {name}"
-assert cli.main(["grid", "--input", toy, "--rows", "3", "--cols", "2",
-                 "--out", f"{out}/grid.csv"]) == 0
-assert "numpy" in sys.modules, "grid did not load numpy"
+bare_numpy = subprocess.run(
+    [sys.executable, "-c", "import sys, numpy; print(*sys.modules)"],
+    capture_output=True, text=True, check=True,
+).stdout.split()
+numpy_runs = [
+    ["grid", "--input", toy, "--rows", "3", "--cols", "2", "--out", f"{out}/grid.csv"],
+    ["validate", "--input", f"{out}/gen.evt", "--out", f"{out}/validate.json"],
+]
+for argv in numpy_runs:
+    assert cli.main(argv) == 0, argv
+    assert "numpy" in sys.modules, f"{argv[0]} did not load numpy"
+    for name in HASHLIB:
+        assert name not in sys.modules or name in bare_numpy, f"{argv[0]} loaded {name}"
 print("checked")
 """
 
@@ -701,6 +754,55 @@ def test_only_grid_commands_load_numpy(toy_input, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "checked"
+
+
+# Runs profile and parse, whose manifests record digests of inputs, outputs
+# and profiles, with CPython's own SHA-256 modules hidden when asked, so
+# that the digests come from hashlib's fallback.
+DIGEST_SCRIPT = """
+import sys
+
+hide, toy, profile, out = sys.argv[1:]
+if hide == "hide":
+    sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import hashlib
+from selfcite import cli, corpus
+
+assert hide != "hide" or corpus._sha256 is hashlib.sha256
+assert cli.main(["profile", "--profile", profile, "--out", f"{out}/profile.json"]) == 0
+assert cli.main(["parse", "--input", toy, "--profile", "chars",
+                 "--out", f"{out}/parsed.evt"]) == 0
+print("checked")
+"""
+
+
+def test_digests_without_the_builtin_sha256(toy_input, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    profile = tmp_path / "custom.json"
+    profile.write_text(json.dumps(CUSTOM_PROFILE), encoding="utf-8")
+    manifests = {}
+    for hide in ("builtin", "hide"):
+        out = tmp_path / hide
+        out.mkdir()
+        result = subprocess.run(
+            [sys.executable, "-c", DIGEST_SCRIPT, hide, str(toy_input), str(profile), "."],
+            cwd=out, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "checked"
+        manifests[hide] = [
+            json.loads((out / f"{name}.manifest.json").read_text(encoding="utf-8"))
+            for name in ("profile.json", "parsed.evt")
+        ]
+    assert manifests["hide"] == manifests["builtin"]
+    digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+    profile_run, parse_run = manifests["hide"]
+    assert profile_run["params"]["profile_digest"] == digest(profile)
+    assert profile_run["inputs"] == [{"path": str(profile), "sha256": digest(profile)}]
+    assert parse_run["inputs"] == [{"path": str(toy_input), "sha256": digest(toy_input)}]
+    parsed = tmp_path / "hide" / "parsed.evt"
+    assert parse_run["outputs"] == [{"path": "parsed.evt", "sha256": digest(parsed)}]
 
 
 @pytest.mark.parametrize("user_value", [None, "4"], ids=["unset", "user_set"])

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from collections import Counter
 
 import pytest
@@ -14,6 +16,7 @@ from selfcite.corpus import (
     normalize,
     parse_plaintext,
     parse_transliteration,
+    sha256_hex,
 )
 from selfcite.cooccur import GridSpec, compute_grid, compute_grids
 from selfcite.editdist import Alphabet, SegmentationError
@@ -552,3 +555,11 @@ def test_columnar_views_match_the_oracles(lines, source, steps, alphabet, seed):
         assert str(error) == str(expected_error)
     else:
         assert isinstance(error, EmptyCorpusError)
+
+
+# 55 and 56 bytes straddle the length that still pads into one 64-byte
+# block; 64 and 65 fill a block and spill past it.
+@pytest.mark.parametrize("size", [0, 55, 56, 64, 65, 1 << 20])
+def test_sha256_hex_matches_hashlib(size):
+    data = random.Random(size).randbytes(size)
+    assert sha256_hex(data) == hashlib.sha256(data).hexdigest()

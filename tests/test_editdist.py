@@ -455,7 +455,9 @@ def test_replace_checks_fields_as_the_constructor_does(name):
     record, bad = CHECKED_RECORDS[name]
     with pytest.raises(ValueError) as built:
         type(record)(**{**record._asdict(), **bad})
-    replacements = [record._replace]
+    # _make takes every field, in order, and checks them as __new__ does
+    made = lambda **changes: type(record)._make({**record._asdict(), **changes}.values())
+    replacements = [record._replace, made]
     if sys.version_info >= (3, 13):
         replacements.append(lambda **changes: copy.replace(record, **changes))
     for replace in replacements:
@@ -466,11 +468,18 @@ def test_replace_checks_fields_as_the_constructor_does(name):
         assert type(same) is type(record) and same == record
     with pytest.raises(ValueError, match="unexpected field names"):
         record._replace(no_such_field=1)
+    with pytest.raises(TypeError, match="Expected"):
+        type(record)._make(record[1:])
 
 
 def test_replace_normalizes_as_the_constructor_does():
     alphabet = TINY._replace(graphemes=["a", "b", "c", "d"], similarity_groups=[["a", "d"]])
     assert alphabet.graphemes == ("a", "b", "c", "d")
     assert alphabet.similarity_groups == (frozenset({"a", "d"}),)
+    assert Alphabet._make([list(alphabet.graphemes), [["a", "d"]], 1, 2, 1]) == alphabet
     params = GeneratorParams().replace(line_length_distribution=[["3", 1]])
     assert params.line_length_distribution == ((3, 1.0),)
+    made = GeneratorParams._make(
+        [["3", 1]] if name == "line_length_distribution" else value
+        for name, value in params._asdict().items())
+    assert made == params
