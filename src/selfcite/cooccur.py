@@ -25,8 +25,11 @@ distances are computed in one pass, bounded by the largest distance:
    lower bounds of :func:`selfcite.editdist.within_lower_bounds`, read per
    position, do not rule out, and reduces their canonical type-pair keys to
    distinct keys with a count each, so memory follows distinct pairs.
-3. One :func:`selfcite.editdist.bounded_distances` batch codes the window's
-   distinct kept pairs.
+3. The cells' keys, sorted together, give the window's distinct kept pairs,
+   and one :func:`selfcite.editdist.bounded_distances` batch codes them. The
+   batch filters, sorts and walks them in fixed slices, each chunk gathering
+   its own rows of the word table, so beside the codes its memory stays that
+   of one slice however many pairs the window holds.
 4. Each cell looks its keys up among those distinct pairs and sums their
    counts at each requested distance, so memory follows the data, not the
    bound or the window.
@@ -116,15 +119,22 @@ class CooccurrenceGrid(NamedTuple):
         return sum(values) / len(values)
 
 
-def _distinct(keys):
-    """Sorted distinct keys and how often each occurs; sorts ``keys`` in place."""
+def _run_starts(keys):
+    """Sorts ``keys`` in place; True at the first key of each run of equals."""
     import numpy as np
 
     keys.sort()
     first = np.empty(len(keys), dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
+    return first
+
+
+def _distinct(keys):
+    """Sorted distinct keys and how often each occurs; sorts ``keys`` in place."""
+    import numpy as np
+
+    starts = np.flatnonzero(_run_starts(keys))
     counts = np.diff(starts, append=len(keys)).astype(np.int32)
     return keys[starts], counts
 
@@ -211,8 +221,8 @@ def compute_grids(
     words, per_cell = _cell_keys(corpus, spec, bound)
     n_types = max(len(words[1]), 1)
     empty = np.empty(0, _key_dtype(n_types))  # a corpus may reach no cell
-    all_keys, _ = _distinct(np.concatenate(
-        [empty, *(keys for _, _, keys, _ in per_cell.values())]))
+    all_keys = np.concatenate([empty, *(keys for _, _, keys, _ in per_cell.values())])
+    all_keys = all_keys[_run_starts(all_keys)]
     lo, hi = np.divmod(all_keys, n_types)
     codes = bounded_distances(words, lo, hi, bound, spec.alphabet)
     grids = {d: {} for d in distances}

@@ -272,6 +272,9 @@ def within_lower_bounds(lengths_a, lengths_b, masks_a, masks_b, bound: int, inde
 # Pairs walked together by the batched DP: enough to amortize numpy's
 # per-call overhead over a row, few enough that a chunk's band stays in cache.
 _CHUNK = 8192
+# Pairs filtered, sorted and walked as one slice of a batch, so the batch's
+# transient arrays stay one slice long however many pairs it holds.
+_SLICE = 4 * _CHUNK
 
 
 def bounded_distances(
@@ -289,18 +292,23 @@ def bounded_distances(
     pair's distance when it is at most ``bound`` and ``bound + 1`` otherwise,
     in the smallest unsigned dtype that fits ``bound + 1``.
 
-    The band reads its substitution costs from a flat ``(G+1) x (G+1)``
-    table, ``G`` graphemes plus the padding id, at the first word's id times
-    ``G + 1`` plus the second word's id. Both row arrays are held in the
-    smallest unsigned dtype that fits ``(G+1)**2 - 1`` (uint16 up to 255
-    graphemes).
+    The pairs go in fixed slices of ``_SLICE``, each written through a view
+    of the result, so beside the result the memory a batch takes is that of
+    one slice, however many pairs it holds. In a slice, the lower bounds of
+    :func:`within_lower_bounds` settle most pairs without a DP. The rest run
+    a banded DP over the ``2 * (bound // indel) + 1`` diagonals around the
+    main one, grouped by the length of the first word so that each chunk of
+    up to ``_CHUNK`` pairs walks its rows together, and a chunk stops once
+    every pair's row minimum exceeds the bound (Ukkonen's cut-off). The
+    scalar ``oracle_bounded_distance`` in ``tests/helpers.py`` is its test
+    reference.
 
-    The lower bounds of :func:`within_lower_bounds` settle most pairs without
-    a DP. The rest run a banded DP over the ``2 * (bound // indel) + 1``
-    diagonals around the main one, grouped by the length of the first word so
-    that each chunk walks its rows together, and a chunk stops once every
-    pair's row minimum exceeds the bound (Ukkonen's cut-off). The scalar
-    ``oracle_bounded_distance`` in ``tests/helpers.py`` is its test reference.
+    Each chunk gathers its own rows from the table: the first words' ids
+    times ``G + 1`` and the second words' ids, ``half`` padding ids above
+    and below, so a band row reads its substitution costs from a flat
+    ``(G+1) x (G+1)`` table, ``G`` graphemes plus the padding id, at their
+    sum. Both row arrays are held in the smallest unsigned dtype that fits
+    ``(G+1)**2 - 1`` (uint16 up to 255 graphemes).
     """
     import numpy as np
 
@@ -308,31 +316,32 @@ def bounded_distances(
     out = np.full(len(a), inf, dtype=np.min_scalar_type(inf))
     table, lengths, masks = words
     n_graphemes = len(alphabet.graphemes)
-    width = table.shape[1]
     indel = alphabet.indel_cost
-    # No alignment strays further than ``width`` from the main diagonal.
-    half = min(bound // indel, width)
-    la, lb = lengths[a], lengths[b]
-    todo = np.flatnonzero(within_lower_bounds(la, lb, masks[a], masks[b], bound, indel))
-    todo = todo[np.argsort(la[todo])]
-    # Word ids run down the columns, so a chunk's rows come out contiguous;
-    # ``half`` padding rows above the second word cover diagonals left of j=1.
+    # No alignment strays further than the table's width from the main diagonal.
+    half = min(bound // indel, table.shape[1])
     dtype = np.min_scalar_type((n_graphemes + 1) ** 2 - 1)
-    a_rows = table.T.astype(dtype)
-    a_rows *= n_graphemes + 1
-    b_rows = np.full((width + 2 * half, len(table)), n_graphemes, dtype=dtype)
-    b_rows[half : half + width] = table.T
     costs = _substitution_costs(alphabet, inf)
-    ends = np.cumsum(np.bincount(la[todo]))
-    start = 0
-    for length, end in enumerate(ends.tolist()):
-        for lo in range(start, end, _CHUNK):
-            pairs = todo[lo : min(lo + _CHUNK, end)]
-            out[pairs] = _band_walk(
-                a_rows[:length, a[pairs]], b_rows[:, b[pairs]],
-                lb[pairs] - length + half, costs, half, indel, inf,
-            )
-        start = end
+    for first in range(0, len(a), _SLICE):
+        part = slice(first, first + _SLICE)
+        sa, sb, codes = a[part], b[part], out[part]
+        la, lb = lengths[sa], lengths[sb]
+        todo = np.flatnonzero(within_lower_bounds(la, lb, masks[sa], masks[sb], bound, indel))
+        todo = todo[np.argsort(la[todo])]
+        ends = np.cumsum(np.bincount(la[todo]))
+        start = 0
+        for length, end in enumerate(ends.tolist()):
+            for lo in range(start, end, _CHUNK):
+                pairs = todo[lo : min(lo + _CHUNK, end)]
+                # Row i holds each first word's i-th id, contiguous for the walk;
+                # ``half`` padding rows above the second words cover diagonals left of j=1.
+                a_rows = table[sa[pairs], :length].T.astype(dtype, order="C")
+                a_rows *= n_graphemes + 1
+                second = table[sb[pairs], : length + half].T
+                b_rows = np.full((length + 2 * half, len(pairs)), n_graphemes, dtype=dtype)
+                b_rows[half : half + len(second)] = second
+                codes[pairs] = _band_walk(a_rows, b_rows, lb[pairs] - length + half,
+                                          costs, half, indel, inf)
+            start = end
     return out
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from array import array
 from bisect import bisect
 from collections import deque
 from functools import lru_cache
@@ -380,7 +381,12 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
     above: deque[list[tuple[str, ...]]] = deque(maxlen=params.source_window_lines - 1)
     emitted = 0
 
-    lines: list[tuple[Locus, list[int], int]] = []
+    # the corpus's columns: type ids of all lines, in one array, and per line
+    # its end offset in that array, its locus and its paragraph
+    ids = array("i")
+    offsets = [0]
+    loci: list[Locus] = []
+    paragraph_ids: list[int] = []
     page_no = 1
     page = "g001"
     page_lines = 0
@@ -414,7 +420,7 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
                     word = None
                     # every line written is nonempty, and so is the
                     # current one from m = 1
-                    if (m or lines) and random_() < copy_probability:
+                    if (m or ids) and random_() < copy_probability:
                         # the window can still be empty, e.g. at position 0
                         # with a one-line source window
                         word = _pick_source(window, current, m, rng, bias)
@@ -440,16 +446,19 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
                 current.append(word)
             emitted += len(current)
             page_lines += 1
-            locus = Locus(
+            loci.append(Locus(
                 page=page, unit="P", line_no=page_lines, raw_tag=f"<{page}.P.{page_lines}>"
-            )
-            lines.append((locus, [types.setdefault(w, len(types)) for w in current], para_id))
+            ))
+            ids.extend([types.setdefault(w, len(types)) for w in current])
+            offsets.append(len(ids))
+            paragraph_ids.append(para_id)
             above.append(current)
         para_id += 1
 
     del segmented  # not part of the corpus: free it before the corpus is built
     # Words are canonical segmentations, so distinct ones join to distinct raw words.
-    return Corpus.from_rows(lines, map("".join, types), types)
+    return Corpus(tuple(map("".join, types)), tuple(types), memoryview(ids).toreadonly(),
+                  tuple(offsets), tuple(loci), tuple(paragraph_ids))
 
 
 def shuffle_control(corpus: Corpus, rng_seed: int) -> Corpus:

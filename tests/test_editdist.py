@@ -2,6 +2,7 @@ import copy
 import itertools
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,6 +391,60 @@ def test_batched_distances_edge_cases():
     assert got.tolist() == [
         naive_distance(strings[i], strings[j], TINY) for i, j in zip(a, b)
     ]
+
+
+@pytest.mark.parametrize("size", [1, 5, 97])
+def test_slices_give_the_codes_of_one_slice(size, monkeypatch):
+    # the first five pairs are one slice of five that the length bound
+    # settles, and a slice of 97 cuts length groups that one slice walks whole
+    bound = 2
+    rng = random.Random(size)
+    words, derived = _batch_words(rng, VMS_LIKE, bound)
+    short = next(i for i, w in enumerate(words) if len(w) == 1)
+    long = next(i for i, w in enumerate(words) if len(w) > 1 + bound)
+    random_pairs = [(rng.randrange(len(words)), rng.randrange(len(words)))
+                    for _ in range(600)]
+    a, b = map(np.array, zip(*([(short, long)] * 5 + derived + random_pairs)))
+    words_table = id_table(words, VMS_LIKE)
+    whole = bounded_distances(words_table, a, b, bound, VMS_LIKE)
+    assert len(a) <= editdist._SLICE
+    assert whole[:5].tolist() == [bound + 1] * 5
+    walked = np.flatnonzero(whole <= bound)
+    lengths = words_table[1][a[walked]]
+    assert any(len(set(walked[lengths == n] // 97)) > 1 for n in set(lengths))
+    monkeypatch.setattr(editdist, "_SLICE", size)
+    got = bounded_distances(words_table, a, b, bound, VMS_LIKE)
+    assert got.dtype == whole.dtype
+    assert got.tolist() == whole.tolist() == [
+        bound + 1 if d is None else d
+        for d in (oracle_bounded_distance(words[i], words[j], bound, VMS_LIKE)
+                  for i, j in zip(a, b))
+    ]
+    empty = np.empty(0, dtype=np.intp)
+    assert bounded_distances(words_table, empty, empty, bound, VMS_LIKE).tolist() == []
+
+
+def test_batch_peak_memory_does_not_grow_with_the_batch():
+    # Beside its result, a batch holds one slice's lower bounds, sort and rows
+    # at a time: 20k and 160k pairs peak at about 0.7 and 1.6 MB above the
+    # result. With those arrays as long as the batch, 160k pairs took 5.4 MB.
+    rng = random.Random(5)
+    words, _ = _batch_words(rng, VMS_LIKE, 2)
+    words_table = id_table(words, VMS_LIKE)
+    peaks = []
+    for n_pairs in (20_000, 160_000):
+        # a word and itself, its mutated copy or its extension
+        a = 3 * np.array([rng.randrange(len(words) // 3) for _ in range(n_pairs)])
+        b = a + np.arange(n_pairs) % 3
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            codes = bounded_distances(words_table, a, b, 2, VMS_LIKE)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base - codes.nbytes)
+        finally:
+            tracemalloc.stop()
+        assert (codes <= 2).mean() > 0.3  # and so ran the DP
+    assert max(peaks) < 2_000_000, peaks
 
 
 def _edited(rng, word, graphemes, edits, max_len):
