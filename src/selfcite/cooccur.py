@@ -46,9 +46,8 @@ from typing import NamedTuple, Sequence
 from selfcite.corpus import Corpus, csv_bytes
 from selfcite.editdist import (
     Alphabet,
+    CheckedRecord,
     bounded_distances,
-    checked_make,
-    checked_replace,
     within_lower_bounds,
     word_arrays,
 )
@@ -70,22 +69,18 @@ class _GridSpecFields(NamedTuple):
     drop_line_edges: bool = False
 
 
-class GridSpec(_GridSpecFields):
+class GridSpec(CheckedRecord, _GridSpecFields):
     """Window shape of a co-occurrence grid and the alphabet whose costs
     measure distance. Each offset is at least 1 and at most :data:`MAX_OFFSET`."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         for name in ("max_line_offset", "max_pos_offset"):
             value = getattr(self, name)
             if not 1 <= value <= MAX_OFFSET:
                 raise ValueError(f"{name} must be >= 1 and <= {MAX_OFFSET}, got {value}")
         return self
-
-    _replace = __replace__ = checked_replace
-    _make = checked_make
 
 
 class GridCell(NamedTuple):

@@ -9,6 +9,8 @@ lines are adjacent, so a page's first line follows the previous page's last
 retained line. Consumers read the columns, and no record per token is built
 to parse, normalize or analyse a corpus: :attr:`Corpus.lines`, of
 :class:`Line` and :class:`Token` records, is a view built on demand.
+:class:`Locus` and :class:`Token` check their fields through
+``editdist.CheckedRecord``, the one base of the records that do.
 
 Transliteration format (documented subset)
 ------------------------------------------
@@ -51,7 +53,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-from selfcite.editdist import Alphabet, checked_make, checked_replace
+from selfcite.editdist import Alphabet, CheckedRecord
 
 
 class ParseError(ValueError):
@@ -74,21 +76,17 @@ class _LocusFields(NamedTuple):
     raw_tag: str
 
 
-class Locus(_LocusFields):
+class Locus(CheckedRecord, _LocusFields):
     """Source position of a line: page, text unit, line number."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         if not self.page:
             raise ValueError("locus page must be nonempty")
         if self.line_no < 1:
             raise ValueError("locus line_no must be >= 1")
         return self
-
-    _replace = __replace__ = checked_replace
-    _make = checked_make
 
     @property
     def unit_kind(self) -> str:
@@ -101,20 +99,16 @@ class _TokenFields(NamedTuple):
     graphemes: tuple[str, ...] | None = None
 
 
-class Token(_TokenFields):
+class Token(CheckedRecord, _TokenFields):
     """A word type where it occurs: its raw word and its graphemes (None
     until normalization)."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         if not self.raw:
             raise ValueError("token must be nonempty")
         return self
-
-    _replace = __replace__ = checked_replace
-    _make = checked_make
 
 
 class Line(NamedTuple):

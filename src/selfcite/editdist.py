@@ -20,6 +20,12 @@ prefilter and for every distinct window pair of this batch;
 :func:`edit_distance` passes it a batch of one.
 Its reference is the scalar banded DP ``oracle_bounded_distance`` in
 ``tests/helpers.py``.
+
+The records that check their fields (:class:`Alphabet` here, ``Locus`` and
+``Token`` in ``corpus``, ``GridSpec`` in ``cooccur`` and ``GeneratorParams``
+in ``generator``) share one base, :class:`CheckedRecord`: each defines only
+its ``_checked`` method, which the constructor, ``_make`` and ``_replace``
+all call.
 """
 
 from __future__ import annotations
@@ -46,27 +52,22 @@ class SegmentationError(ValueError):
         )
 
 
-def checked_replace(self, /, **changes):
-    """namedtuple's ``_replace`` through the record's own ``__new__``, so a
-    replaced field is checked as a constructed one is. A record that checks
-    its fields sets this as ``_replace`` and as ``__replace__``, which
-    ``copy.replace`` calls; namedtuple's own builds the tuple unchecked."""
-    record = type(self)(*map(changes.pop, self._fields, self))
-    if changes:
-        raise ValueError(f"Got unexpected field names: {list(changes)!r}")
-    return record
+class CheckedRecord:
+    """Base of the named-tuple records that check their fields, listed first:
+    ``class Locus(CheckedRecord, _LocusFields)``. The constructor and
+    ``_make``, which namedtuple's ``_replace`` (and so ``copy.replace``) calls,
+    return the record's ``_checked()``: the record itself, or one built with
+    ``tuple.__new__`` from its normalized fields. ``_checked`` raises
+    ValueError on a bad field."""
 
+    __slots__ = ()
 
-@classmethod
-def checked_make(cls, iterable):
-    """namedtuple's ``_make`` through the record's own ``__new__``; a record
-    that checks its fields sets this as ``_make``. Its ``__new__`` then
-    stores normalized fields with ``tuple.__new__``, since the base's
-    ``_replace`` calls ``_make``."""
-    values = tuple(iterable)
-    if len(values) != len(cls._fields):
-        raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(values)}")
-    return cls(*values)
+    def __new__(cls, *args, **kwargs):
+        return super().__new__(cls, *args, **kwargs)._checked()
+
+    @classmethod
+    def _make(cls, iterable):
+        return super()._make(iterable)._checked()
 
 
 class _AlphabetFields(NamedTuple):
@@ -77,13 +78,11 @@ class _AlphabetFields(NamedTuple):
     indel_cost: int = 1
 
 
-class Alphabet(_AlphabetFields):
+class Alphabet(CheckedRecord, _AlphabetFields):
     """Grapheme inventory, similarity classes, and edit costs."""
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        # a plain tuple build: the base's _replace calls the checked _make
-        self = tuple.__new__(cls, (
+    def _checked(self):
+        self = tuple.__new__(type(self), (
             tuple(self.graphemes),
             tuple(frozenset(g) for g in self.similarity_groups),
             *self[2:],
@@ -123,9 +122,6 @@ class Alphabet(_AlphabetFields):
             )
         return self
 
-    _replace = __replace__ = checked_replace
-    _make = checked_make
-
     @classmethod
     def single_characters(cls, chars: Iterable[str]) -> "Alphabet":
         """Alphabet of single characters with unit costs.
@@ -147,18 +143,6 @@ class Alphabet(_AlphabetFields):
         # so "ch" beats "c" wherever both do.
         longest = sorted(self.graphemes, key=len, reverse=True)
         return re.compile("|".join(map(re.escape, longest)))
-
-    @cached_property
-    def similar_id_pairs(self) -> frozenset[tuple[int, int]]:
-        """Canonical (lo, hi) id pairs of distinct similar graphemes."""
-        pairs = set()
-        ids = self._ids
-        for group in self.similarity_groups:
-            members = sorted(ids[g] for g in group)
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    pairs.add((a, b))
-        return frozenset(pairs)
 
     @cached_property
     def similar_partners(self) -> dict[str, tuple[str, ...]]:
@@ -199,8 +183,8 @@ class Alphabet(_AlphabetFields):
 
 def are_similar(a: str, b: str, alphabet: Alphabet) -> bool:
     """True iff the graphemes are equal or share a similarity group."""
-    ia, ib = alphabet.encode((a, b))
-    return ia == ib or (min(ia, ib), max(ia, ib)) in alphabet.similar_id_pairs
+    alphabet.encode((a, b))  # raises on a grapheme outside the inventory
+    return a == b or b in alphabet.similar_partners[a]
 
 
 def bounded_distance_ids(
@@ -355,8 +339,9 @@ def _substitution_costs(alphabet: Alphabet, inf: int) -> np.ndarray:
     costs = np.full(
         (n + 1, n + 1), alphabet.dissimilar_substitution_cost, dtype=dtype
     )
-    for x, y in alphabet.similar_id_pairs:
-        costs[x, y] = costs[y, x] = alphabet.similar_substitution_cost
+    for group in alphabet.similarity_groups:
+        ids = np.array(alphabet.encode(group), dtype=np.intp)
+        costs[ids[:, None], ids] = alphabet.similar_substitution_cost
     np.fill_diagonal(costs, 0)
     costs[n, :] = costs[:, n] = inf
     return costs.ravel()

@@ -39,7 +39,7 @@ from selfcite.corpus import (
     require_strings,
 )
 from selfcite.cooccur import GridSpec, compute_grids, summarize_decay
-from selfcite.editdist import Alphabet, checked_make, checked_replace
+from selfcite.editdist import Alphabet, CheckedRecord
 
 _PAGE_CAPACITY_LINES = 25
 
@@ -63,7 +63,10 @@ def _number(name: str, value) -> float:
 
 
 def _pairs(name: str, value) -> tuple[tuple, ...]:
-    """``value`` as (key, weight) pairs with numeric weights."""
+    """``value``, a dict or a sequence of pairs, as (key, weight) pairs
+    with numeric weights, in order."""
+    if isinstance(value, dict):
+        value = tuple(value.items())
     if not isinstance(value, (list, tuple)) or not all(
         isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in value
     ):
@@ -120,13 +123,12 @@ class _GeneratorParamsFields(NamedTuple):
     target_token_count: int = 10_000
 
 
-class GeneratorParams(_GeneratorParamsFields):
+class GeneratorParams(CheckedRecord, _GeneratorParamsFields):
     """Full parameterization of the generation process; seedable."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         normalized = {
             name: require_strings(name, getattr(self, name))
             for name in (
@@ -147,8 +149,7 @@ class GeneratorParams(_GeneratorParamsFields):
             (str(k), v)
             for k, v in _pairs("mutation_kind_weights", self.mutation_kind_weights)
         )
-        # a plain tuple build: the base's _replace calls the checked _make
-        self = tuple.__new__(cls, map(normalized.get, self._fields, self))
+        self = tuple.__new__(type(self), map(normalized.get, self._fields, self))
         for name in ("source_window_lines", "rng_seed", "target_token_count"):
             require_int(name, getattr(self, name))
         if not self.seed_words:
@@ -185,23 +186,12 @@ class GeneratorParams(_GeneratorParamsFields):
             raise ValueError("target_token_count must be >= 1")
         return self
 
-    _replace = __replace__ = checked_replace
-    _make = checked_make
-
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorParams":
         if not isinstance(data, dict):
             raise ValueError(f"expected a JSON object, got {type(data).__name__}")
         data = dict(data)
         data.pop("version", None)
-        for key in (
-            "mutation_count_distribution",
-            "line_length_distribution",
-            "paragraph_length_distribution",
-            "mutation_kind_weights",
-        ):
-            if key in data and isinstance(data[key], dict):
-                data[key] = tuple(data[key].items())
         unknown = set(data) - set(cls._fields)
         if unknown:
             raise ValueError(f"unknown generator parameters: {sorted(unknown)}")

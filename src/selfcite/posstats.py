@@ -10,7 +10,7 @@ corpus's columns: each line's type ids, and each type's graphemes and count
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain
 from operator import contains, itemgetter, mul
 from typing import NamedTuple
 
@@ -67,19 +67,12 @@ class PositionalReport(NamedTuple):
         return out
 
 
-def is_subgroup(b: tuple[str, ...], a: tuple[str, ...], contiguous: bool = True) -> bool:
-    """True iff b's graphemes occur inside a's, in order.
-
-    Contiguous (the default) means substring of the grapheme sequence; the
-    non-contiguous variant accepts any ordered subsequence. Both readings
-    are reflexive and transitive.
-    """
-    if len(b) > len(a):
-        return False
-    if contiguous:
-        return any(a[i : i + len(b)] == b for i in range(len(a) - len(b) + 1))
-    it = iter(a)
-    return all(g in it for g in b)
+def is_subgroup(b: tuple[str, ...], a: tuple[str, ...]) -> bool:
+    """True iff b's graphemes occur inside a's, in order: b is an ordered
+    subsequence of a. The contiguous reading, a run of whole graphemes, is
+    the substring test in :func:`positional_stats`."""
+    rest = iter(a)
+    return len(b) <= len(a) and all(g in rest for g in b)
 
 
 def positional_stats(
@@ -125,7 +118,7 @@ def positional_stats(
         inside = list(map(contains, stream, stream[1:]))
     else:
         stream = list(map(graphemes.__getitem__, ids))
-        inside = list(map(is_subgroup, stream[1:], stream, repeat(False)))
+        inside = list(map(is_subgroup, stream[1:], stream))
 
     line_count = first_prefixes = 0
     paragraph_count = paragraph_gallows = parafirst_len = parafirst_tokens = 0

@@ -102,7 +102,12 @@ def oracle_bounded_distance(
     common affixes first (safe because the per-symbol costs form a metric)
     and runs a banded dynamic program on the remainder.
     """
-    similar_pairs = alphabet.similar_id_pairs
+    # canonical (lo, hi) id pairs of distinct graphemes that share a group
+    index = {g: i for i, g in enumerate(alphabet.graphemes)}
+    similar_pairs = {
+        (index[x], index[y]) for group in alphabet.similarity_groups
+        for x in group for y in group if index[x] < index[y]
+    }
     indel = alphabet.indel_cost
     sub_similar = alphabet.similar_substitution_cost
     sub_dissimilar = alphabet.dissimilar_substitution_cost
@@ -449,7 +454,7 @@ def oracle_draw(rng, distribution) -> int:
     return rng.choices(values, weights)[0]
 
 
-def _oracle_subgroup(b, a, contiguous: bool) -> bool:
+def oracle_subgroup(b, a, contiguous: bool) -> bool:
     """b's graphemes inside a's, in order: as one run, or as any subsequence."""
     if contiguous:
         return any(a[i : i + len(b)] == b for i in range(len(a) - len(b) + 1))
@@ -494,7 +499,7 @@ def oracle_positional_stats(corpus: Corpus, gallows, prefixes, line_final_glyphs
                         final_hits[g] += 1
             if m >= 2:
                 internal_sub[1] += 1
-                if _oracle_subgroup(word, words[m - 1], contiguous_subgroup):
+                if oracle_subgroup(word, words[m - 1], contiguous_subgroup):
                     internal_sub[0] += 1
         if line.paragraph_initial:
             para_first[1] += 1
@@ -506,7 +511,7 @@ def oracle_positional_stats(corpus: Corpus, gallows, prefixes, line_final_glyphs
                 second["shorter"] += 1
             elif len(words[1]) > len(words[0]):
                 second["longer"] += 1
-            if _oracle_subgroup(words[1], words[0], contiguous_subgroup):
+            if oracle_subgroup(words[1], words[0], contiguous_subgroup):
                 second["subgroup"] += 1
 
     return PositionalReport(

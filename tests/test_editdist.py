@@ -14,6 +14,7 @@ from selfcite.corpus import Locus, Token
 from selfcite.generator import GeneratorParams
 from selfcite.editdist import (
     Alphabet,
+    CheckedRecord,
     SegmentationError,
     are_similar,
     bounded_distances,
@@ -495,14 +496,29 @@ def test_edit_distance_matches_oracle_on_long_words():
     assert any(0 < d <= 7 for d in exact) and any(d > 7 for d in exact)
 
 
-# Each record that checks its fields, a valid instance, and one bad change.
-CHECKED_RECORDS = {
-    "Locus": (Locus("f1r", "P", 1, "<f1r.P.1>"), {"line_no": 0}),
-    "Token": (Token("daiin"), {"raw": ""}),
-    "Alphabet": (TINY, {"indel_cost": 0}),
-    "GridSpec": (GridSpec(TINY), {"max_pos_offset": MAX_OFFSET + 1}),
-    "GeneratorParams": (GeneratorParams(), {"copy_probability": 1.5}),
+# A valid instance of each record that checks its fields, and one bad change.
+_CHECKED_EXAMPLES = {
+    Locus: (Locus("f1r", "P", 1, "<f1r.P.1>"), {"line_no": 0}),
+    Token: (Token("daiin"), {"raw": ""}),
+    Alphabet: (TINY, {"indel_cost": 0}),
+    GridSpec: (GridSpec(TINY), {"max_pos_offset": MAX_OFFSET + 1}),
+    GeneratorParams: (GeneratorParams(), {"copy_probability": 1.5}),
 }
+# Every subclass of the base, so a record added later without an example above
+# fails below; the package's __init__, run by any selfcite import, loads every
+# module.
+CHECKED_RECORDS = {
+    cls.__name__: _CHECKED_EXAMPLES.get(cls) for cls in CheckedRecord.__subclasses__()
+}
+
+
+def test_checked_records_share_the_base_wiring():
+    assert set(_CHECKED_EXAMPLES) == set(CheckedRecord.__subclasses__())
+    for cls in CheckedRecord.__subclasses__():
+        # listed first, so the base's __new__ and _make come before namedtuple's
+        assert cls.__mro__[1] is CheckedRecord, cls
+        assert "_checked" in vars(cls), cls
+        assert not {"__new__", "_replace", "__replace__", "_make"} & set(vars(cls)), cls
 
 
 @pytest.mark.parametrize("name", CHECKED_RECORDS)

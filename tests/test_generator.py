@@ -84,6 +84,22 @@ def test_params_reject_wrong_types_naming_the_field(field, value):
         GeneratorParams.from_dict({field: value})
 
 
+def test_params_take_a_dict_for_each_weighted_field():
+    # as from_dict does, the constructor reads a dict's items in order
+    fields = {
+        "mutation_count_distribution": {0: 0.5, 1: 0.5},
+        "mutation_kind_weights": {"delete": 0.25, "insert": 0.75},
+        "line_length_distribution": {9: 0.5, 7: 0.5},
+        "paragraph_length_distribution": {3: 1.0},
+    }
+    params = GeneratorParams(**fields)
+    as_json = {name: {str(k): v for k, v in value.items()} for name, value in fields.items()}
+    assert params == GeneratorParams.from_dict(as_json)
+    assert params.mutation_count_distribution == ((0, 0.5), (1, 0.5))
+    assert params.mutation_kind_weights == (("delete", 0.25), ("insert", 0.75))
+    assert params.line_length_distribution == ((7, 0.5), (9, 0.5))
+
+
 def test_params_from_dict_needs_an_object():
     with pytest.raises(ValueError, match="expected a JSON object, got list"):
         GeneratorParams.from_dict([["rng_seed", 1]])

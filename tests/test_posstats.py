@@ -6,7 +6,7 @@ from selfcite.editdist import Alphabet
 from selfcite.posstats import is_subgroup, positional_stats, rank_frequency
 from selfcite.profiles import load_profile
 
-from helpers import assemble_corpus, oracle_positional_stats
+from helpers import assemble_corpus, oracle_positional_stats, oracle_subgroup
 
 PROFILE = load_profile("vms")
 VMS = PROFILE.alphabet
@@ -97,17 +97,23 @@ def test_subgroup_rates():
 
 
 def test_subgroup_contiguous_vs_subsequence():
+    # the contiguous reading is positional_stats' substring test; the oracle
+    # reads both ways, and the library's is_subgroup only as a subsequence
     a = ("q", "o", "k", "e", "d", "y")
-    assert is_subgroup(("o", "k"), a)
-    assert not is_subgroup(("q", "k"), a)
-    assert is_subgroup(("q", "k"), a, contiguous=False)
-    assert is_subgroup(a, a)  # reflexive
+    assert oracle_subgroup(("o", "k"), a, contiguous=True)
+    assert not oracle_subgroup(("q", "k"), a, contiguous=True)
+    for subgroup in (is_subgroup, lambda b, a: oracle_subgroup(b, a, contiguous=False)):
+        assert subgroup(("o", "k"), a) and subgroup(("q", "k"), a)
+        assert not subgroup(("k", "q"), a) and not subgroup(a + ("y",), a)
+        assert subgroup(a, a)  # reflexive
 
 
 def test_subgroup_transitive():
     a = ("c", "h", "e", "d", "y")
     b = ("h", "e", "d")
     c = ("e", "d")
+    for contiguous in (True, False):
+        assert all(oracle_subgroup(x, y, contiguous) for x, y in ((b, a), (c, b), (c, a)))
     assert is_subgroup(b, a) and is_subgroup(c, b) and is_subgroup(c, a)
 
 
