@@ -31,7 +31,7 @@ all call.
 from __future__ import annotations
 
 import re
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 # numpy is imported inside the distance routines only, so the commands that
@@ -54,11 +54,12 @@ class SegmentationError(ValueError):
 
 class CheckedRecord:
     """Base of the named-tuple records that check their fields, listed first:
-    ``class Locus(CheckedRecord, _LocusFields)``. The constructor and
-    ``_make``, which namedtuple's ``_replace`` (and so ``copy.replace``) calls,
-    return the record's ``_checked()``: the record itself, or one built with
+    ``class Locus(CheckedRecord, _LocusFields)``. The constructor, ``_make``
+    and ``_replace`` (which ``copy.replace`` calls as ``__replace__``) return
+    the record's ``_checked()``: the record itself, or one built with
     ``tuple.__new__`` from its normalized fields. ``_checked`` raises
-    ValueError on a bad field."""
+    ValueError on a bad field, and ``_replace`` on an unknown field name, on
+    every Python version (namedtuple's own raises TypeError from 3.13)."""
 
     __slots__ = ()
 
@@ -68,6 +69,14 @@ class CheckedRecord:
     @classmethod
     def _make(cls, iterable):
         return super()._make(iterable)._checked()
+
+    def _replace(self, /, **changes):
+        record = self._make(map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return record
+
+    __replace__ = _replace
 
 
 class _AlphabetFields(NamedTuple):
@@ -329,8 +338,10 @@ def bounded_distances(
     return out
 
 
+@lru_cache(maxsize=32)
 def _substitution_costs(alphabet: Alphabet, inf: int) -> np.ndarray:
-    """Flat (G+1)x(G+1) substitution costs; the padding id G costs ``inf``."""
+    """Flat (G+1)x(G+1) substitution costs; the padding id G costs ``inf``.
+    Read-only and cached per alphabet and cap: every kernel call reads it."""
     import numpy as np
 
     n = len(alphabet.graphemes)
@@ -340,10 +351,13 @@ def _substitution_costs(alphabet: Alphabet, inf: int) -> np.ndarray:
         (n + 1, n + 1), alphabet.dissimilar_substitution_cost, dtype=dtype
     )
     for group in alphabet.similarity_groups:
-        ids = np.array(alphabet.encode(group), dtype=np.intp)
-        costs[ids[:, None], ids] = alphabet.similar_substitution_cost
+        ids = alphabet.encode(group)
+        for x in ids:
+            for y in ids:
+                costs[x, y] = alphabet.similar_substitution_cost
     np.fill_diagonal(costs, 0)
     costs[n, :] = costs[:, n] = inf
+    costs.flags.writeable = False
     return costs.ravel()
 
 
