@@ -42,7 +42,7 @@ from selfcite.generator import (
 )
 from selfcite.network import TypeTable, build_graph, edge_operation, shortest_path
 from selfcite.posstats import positional_stats, rank_frequency
-from selfcite.profiles import Profile, load_profile, profile_from_corpus
+from selfcite.profiles import BUILTIN_PROFILES, Profile, load_profile, profile_from_corpus
 
 RNG_ALGORITHM = "python-random-mt19937"
 
@@ -109,92 +109,70 @@ def _load_corpus(args) -> tuple[object, Profile]:
     if args.pages:
         try:
             corpus = filter_pages(corpus, _load_pageset(args.pages))
-        except EmptyCorpusError:  # main() adds the --input path
+        except EmptyCorpusError:  # _run() adds the --input path
             raise EmptyCorpusError(f"no lines match --pages {args.pages}") from None
     return corpus, profile
 
 
-def _write_output(
-    args,
-    data: bytes,
-    extra_params: dict | None = None,
-    extra_outputs: list[str] | None = None,
-) -> None:
+# The options that name files, by dest, under the manifest list that records
+# them; ``--profile`` names one unless it is a builtin name or 'chars'. Only
+# these are recorded relative to the manifest, and replaced by ``rerun``.
+PATH_DESTS = {
+    "inputs": ("input", "params_file", "pages", "profile"),
+    "outputs": ("out", "rank_frequency_out"),
+}
+
+
+def _paths(args, dests) -> dict[str, str]:
+    """The options of ``args`` among ``dests`` that name a file, by dest."""
+    values = {dest: getattr(args, dest, None) for dest in dests}
+    return {dest: value for dest, value in values.items()
+            if value and not (dest == "profile" and value in (*BUILTIN_PROFILES, "chars"))}
+
+
+def _write_output(args, data: bytes, extra_params: dict | None = None) -> None:
     out = Path(args.out)
     _write_bytes(out, data)
-    inputs = _input_paths(args)
-    outputs = [args.out] + list(extra_outputs or [])
-    # Paths as given on the command line, mapped to how the manifest
-    # records them: relative to the manifest's own directory.
-    recorded = {path: _relative_to(path, out.parent) for path in inputs + outputs}
-    params = {
-        k: recorded.get(v, v) if isinstance(v, str) else v
-        for k, v in vars(args).items()
-        if k not in ("func", "argv")
-    }
-    if extra_params:
-        params.update(extra_params)
+    params = {k: v for k, v in vars(args).items() if k not in ("func", "argv")}
+    params.update(extra_params or {})
     manifest = {
         "tool": "selfcite",
         "version": selfcite.__version__,
         "subcommand": args.subcommand,
-        "argv": [recorded.get(token, token) for token in args.argv],
+        "argv": args.argv,
         "params": params,
-        "inputs": [
-            {"path": recorded[p], "sha256": _sha256(Path(p))} for p in inputs
-        ],
-        "outputs": [
-            {"path": recorded[o], "sha256": _sha256(Path(o))} for o in outputs
-        ],
     }
-    manifest_path = out.with_name(out.name + ".manifest.json")
-    _write_bytes(
-        manifest_path,
-        (_json(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-    )
-
-
-def _relative_to(path: str, directory: Path) -> str:
-    """``path`` relative to ``directory``; an absolute path stays as it is."""
-    return path if os.path.isabs(path) else os.path.relpath(path, directory)
-
-
-def _input_paths(args) -> list[str]:
-    paths = []
-    for attr in ("input", "params_file", "pages"):
-        value = getattr(args, attr, None)
-        if value:
-            paths.append(value)
-    profile = getattr(args, "profile", None)
-    if profile and profile not in ("vms", "chars"):
-        paths.append(profile)
-    return paths
+    for key, dests in PATH_DESTS.items():
+        manifest[key] = []
+        for dest, path in _paths(args, dests).items():
+            if not os.path.isabs(path):
+                params[dest] = os.path.relpath(path, out.parent)
+            manifest[key].append({"path": params[dest], "sha256": _sha256(Path(path))})
+    text = _json(manifest, indent=2, sort_keys=True) + "\n"
+    _write_bytes(out.with_name(out.name + ".manifest.json"), text.encode("utf-8"))
 
 
 def _aliased_output(args) -> str | None:
     """Why an output path, once resolved, names an input or an earlier
-    output of the same run, or None when each is its own file. Outputs are
-    listed in the order they are written."""
-    out = getattr(args, "out", None)
-    outputs = [
-        ("--rank-frequency-out", getattr(args, "rank_frequency_out", None)),
-        ("--out", out),
-        ("the manifest", out and out + ".manifest.json"),
-    ]
-    seen = {os.path.realpath(path): f"the input {path}" for path in _input_paths(args)}
-    for flag, path in outputs:
-        if path:
-            real = os.path.realpath(path)
-            if real in seen:
-                return f"{flag} {path} is the same file as {seen[real]}"
-            seen[real] = f"{flag} {path}"
+    output of the same run, or None. Outputs are checked in the order they
+    are written: ``PATH_DESTS``' reversed, then the manifest."""
+    inputs, outputs = _paths(args, PATH_DESTS["inputs"]), _paths(args, PATH_DESTS["outputs"])
+    seen = {os.path.realpath(path): f"the input {path}" for path in inputs.values()}
+    named = [(f"--{dest.replace('_', '-')}", path) for dest, path in reversed(outputs.items())]
+    if "out" in outputs:
+        named.append(("the manifest", outputs["out"] + ".manifest.json"))
+    for flag, path in named:
+        real = os.path.realpath(path)
+        if real in seen:
+            return f"{flag} {path} is the same file as {seen[real]}"
+        seen[real] = f"{flag} {path}"
     return None
 
 
-def _emit(args, data: bytes, **manifest_extras) -> None:
+def _emit(args, data: bytes, extra_params: dict | None = None) -> None:
     """Write to ``--out`` with a manifest, or to stdout when it is unset."""
     if args.out:
-        _write_output(args, data, **manifest_extras)
+        _write_output(args, data, extra_params)
     else:
         sys.stdout.write(data.decode("utf-8"))
 
@@ -231,14 +209,12 @@ def _cmd_stats(args) -> int:
             "\n".join(_json({"statistic": k, **v}) for k, v in fields.items())
             + "\n"
         ).encode("utf-8")
-    extra_outputs = []
     if args.rank_frequency_out:
         _write_bytes(
             Path(args.rank_frequency_out),
             csv_bytes([("rank", "type", "count"), *rank_frequency(corpus)]),
         )
-        extra_outputs.append(args.rank_frequency_out)
-    _emit(args, data, extra_outputs=extra_outputs)
+    _emit(args, data)
     return 0
 
 
@@ -300,7 +276,7 @@ def _cmd_generate(args) -> int:
     args.profile_digest = profile.digest
     corpus = generate(params, profile.alphabet)
     data = format_transliteration(corpus).encode("utf-8")
-    _emit(args, data, extra_params={"rng": RNG_ALGORITHM, "rng_seed": params.rng_seed})
+    _emit(args, data, {"rng": RNG_ALGORITHM, "rng_seed": params.rng_seed})
     return 0
 
 
@@ -308,7 +284,7 @@ def _cmd_shuffle(args) -> int:
     corpus, _ = _load_corpus(args)
     shuffled = shuffle_control(corpus, args.seed)
     data = format_transliteration(shuffled).encode("utf-8")
-    _emit(args, data, extra_params={"rng": RNG_ALGORITHM})
+    _emit(args, data, {"rng": RNG_ALGORITHM})
     return 0
 
 
@@ -339,36 +315,52 @@ def _is_file_list(value) -> bool:
     )
 
 
-def _load_manifest(path: str) -> dict:
-    """The manifest at ``path``, checked for the fields ``rerun`` reads."""
-    text = read_text(path)
+def _load_manifest(path: str, parser) -> tuple[dict, argparse.Namespace]:
+    """The manifest at ``path`` and its ``argv`` parsed, checked for all that
+    ``rerun`` reads: each path option set has its path in ``params`` and a digest."""
+    def malformed(problem) -> ValueError:
+        return ValueError(f"malformed manifest {path}: {problem}")
+
     try:
-        manifest = json.loads(text)
+        manifest = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed manifest {path}: {exc}") from None
+        raise malformed(exc) from None
     if not isinstance(manifest, dict):
-        problem = f"expected a JSON object, got {type(manifest).__name__}"
-    elif not all(_is_file_list(manifest.get(key)) for key in ("inputs", "outputs")):
-        problem = "'inputs' and 'outputs' must be lists of {path, sha256} objects"
-    elif not isinstance(manifest.get("argv"), list) or not all(
-        isinstance(token, str) for token in manifest["argv"]
-    ):
-        problem = "'argv' must be a list of strings"
-    elif manifest["argv"][:1] == ["rerun"]:
-        problem = "'argv' is itself a rerun, which would rerun without end"
-    else:
-        return manifest
-    raise ValueError(f"malformed manifest {path}: {problem}")
+        raise malformed(f"expected a JSON object, got {type(manifest).__name__}")
+    if not all(_is_file_list(manifest.get(key)) for key in ("inputs", "outputs")):
+        raise malformed("'inputs' and 'outputs' must be lists of {path, sha256} objects")
+    argv = manifest.get("argv")
+    if not isinstance(argv, list) or not all(isinstance(token, str) for token in argv):
+        raise malformed("'argv' must be a list of strings")
+    printed = []  # argparse's help, version or error text, kept off the terminal
+    sink = argparse.Namespace(write=printed.append)
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            run = parser.parse_args(argv)
+    except SystemExit as exc:
+        problem = "".join(printed).rpartition("error: ")[2].strip()
+        raise malformed(f"'argv' does not parse: {problem}" if exc.code else
+                        "'argv' prints help or the version and runs nothing") from None
+    params = manifest.get("params")
+    if not isinstance(params, dict):
+        raise malformed("'params' must be an object")
+    if not getattr(run, "out", None):  # a rerun too, which would rerun without end
+        raise malformed("'argv' writes no --out file to check")
+    for key, dests in PATH_DESTS.items():
+        for dest in _paths(run, dests):
+            if params.get(dest) not in [entry["path"] for entry in manifest[key]]:
+                raise malformed(f"params[{dest!r}] is not a path listed in {key!r}")
+    return manifest, run
 
 
 def _cmd_rerun(args) -> int:
-    """Re-execute a manifest. Its relative paths (inputs, outputs and the
-    argv tokens naming them) are relative to the manifest's directory;
-    inputs are read from there and outputs go to ``--out-dir``, which must
-    not hold the manifest or the files it records."""
-    manifest = _load_manifest(args.manifest)
+    """Re-execute a manifest's argv with only its path options replaced. Its
+    relative paths (the file lists and the path options in ``params``) are
+    relative to its directory; inputs are read from there and outputs go to
+    ``--out-dir``, which must not hold the manifest or the files it records."""
+    parser = build_parser()
+    manifest, run = _load_manifest(args.manifest, parser)
     base = Path(args.manifest).parent
-    argv = manifest["argv"]
     originals = {os.path.realpath(args.manifest): f"the manifest {args.manifest}"}
     for entry in manifest["inputs"]:
         path = base / entry["path"]
@@ -376,7 +368,6 @@ def _cmd_rerun(args) -> int:
             raise ValueError(f"manifest input missing: {path}")
         if _sha256(path) != entry["sha256"]:
             raise ValueError(f"manifest input changed: {path}")
-        argv = [str(path) if token == entry["path"] else token for token in argv]
         originals[os.path.realpath(path)] = f"the recorded input {path}"
     for entry in manifest["outputs"]:
         path = base / entry["path"]
@@ -384,18 +375,22 @@ def _cmd_rerun(args) -> int:
     out_dir = Path(args.out_dir)
     replaced = []
     for expected in manifest["outputs"]:
-        original = expected["path"]
-        fresh = out_dir / Path(original).name
+        fresh = out_dir / Path(expected["path"]).name
         for path in (fresh, fresh.with_name(fresh.name + ".manifest.json")):
             if clash := originals.get(os.path.realpath(path)):
                 raise UsageError(f"--out-dir {out_dir}: {path} would overwrite {clash}")
-        argv = [str(fresh) if token == original else token for token in argv]
         replaced.append((fresh, expected["sha256"]))
+    params = manifest["params"]
+    for dest in _paths(run, PATH_DESTS["inputs"]):
+        setattr(run, dest, str(base / params[dest]))
+    for dest in _paths(run, PATH_DESTS["outputs"]):
+        setattr(run, dest, str(out_dir / Path(params[dest]).name))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"cannot create --out-dir {out_dir}: {exc.strerror}") from None
-    code = main(argv)
+    run.argv = manifest["argv"]
+    code = _run(parser, run)
     if code != 0:
         raise ValueError(f"re-run exited with {code}")
     ok = True
@@ -533,18 +528,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    # selfcite never calls BLAS, and one OpenBLAS thread halves numpy's import.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(parser, args) -> int:
+    """Check what argparse cannot, run the subcommand, map errors to exit codes."""
     if getattr(args, "kind", None) == "plaintext" and args.units is not None:
         parser.error("--units applies to transliterations only")
     if clash := _aliased_output(args):  # checked before anything is written
         parser.error(clash)
-    args.argv = list(argv)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -553,6 +542,17 @@ def main(argv: list[str] | None = None) -> int:
         where = f"--input {args.input}: " if isinstance(exc, EmptyCorpusError) else ""
         print(f"error: {where}{exc}", file=sys.stderr)
         return 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    # selfcite never calls BLAS, and one OpenBLAS thread halves numpy's import.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    args.argv = list(argv)
+    return _run(parser, args)
 
 
 if __name__ == "__main__":

@@ -585,8 +585,12 @@ def test_rerun_resolves_paths_against_the_manifest(
     manifest = json.loads((tmp_path / "a" / "s.json.manifest.json").read_text())
     assert [e["path"] for e in manifest["inputs"]] == ["g.evt"]
     assert [e["path"] for e in manifest["outputs"]] == ["s.json", "ranks.csv"]
-    assert "g.evt" in manifest["argv"] and "a/g.evt" not in manifest["argv"]
+    assert manifest["argv"] == [
+        "stats", "--input", "a/g.evt", "--rank-frequency-out", "a/ranks.csv",
+        "--out", "a/s.json",
+    ]
     assert manifest["params"]["input"] == "g.evt"
+    assert manifest["params"]["rank_frequency_out"] == "ranks.csv"
     if inside:
         monkeypatch.chdir(tmp_path / "a")
         code = main(["rerun", "s.json.manifest.json", "--out-dir", "../o"])
@@ -596,6 +600,76 @@ def test_rerun_resolves_paths_against_the_manifest(
     for name in ("s.json", "ranks.csv"):
         fresh = (tmp_path / "o" / name).read_bytes()
         assert fresh == (tmp_path / "a" / name).read_bytes()
+
+
+@pytest.mark.parametrize("workdir, argv, manifest", [
+    (".", ["shuffle", "--input", "g.evt", "--seed", "1", "--out", "1"], "1.manifest.json"),
+    ("probe", ["shuffle", "--input", "0", "--seed", "0", "--out", "s.evt"],
+     "probe/s.evt.manifest.json"),
+    (".", ["path", "--input", "ychedy", "--min-freq", "1", "--from", "ychedy",
+           "--to", "kchedy", "--out", "sub/p.txt"], "sub/p.txt.manifest.json"),
+    (".", ["shuffle", "--input", "g.evt", "--ou=sx.evt"], "sx.evt.manifest.json"),
+    (".", ["shuffle", "--input", "g.evt", "--out=sx.evt"], "sx.evt.manifest.json"),
+], ids=["value_is_out", "value_is_input", "from_is_input", "abbreviated_out", "out_equals"])
+def test_rerun_replaces_only_the_path_options(
+        workdir, argv, manifest, tmp_path, monkeypatch, capsys):
+    # option values that equal a path, and paths given as --opt=value or by
+    # an abbreviated option, rerun from another directory into --out-dir
+    monkeypatch.chdir(tmp_path)
+    for name in ("g.evt", "probe/0", "ychedy"):
+        Path(name).parent.mkdir(exist_ok=True)
+        Path(name).write_text(TOY, encoding="utf-8")
+    Path("sub").mkdir()
+    monkeypatch.chdir(workdir)
+    assert main(argv) == 0
+    monkeypatch.chdir(tmp_path)
+    assert json.loads(Path(manifest).read_text(encoding="utf-8"))["argv"] == argv
+    files = sorted(Path().rglob("*"))
+    before = {path: (path.stat().st_ino, path.read_bytes()) for path in files if path.is_file()}
+    capsys.readouterr()
+    assert main(["rerun", manifest, "--out-dir", "r"]) == 0, capsys.readouterr()
+    assert capsys.readouterr().out == f"OK r/{Path(manifest).name[:-len('.manifest.json')]}\n"
+    assert [path for path in sorted(Path().rglob("*")) if path.parts[0] != "r"] == files
+    assert {path: (path.stat().st_ino, path.read_bytes()) for path in before} == before
+
+
+# What an earlier release wrote for ``stats --input a/toy.evt
+# --rank-frequency-out a/ranks.csv --out a/s.json``: its argv tokens that
+# equal a path are rewritten relative to the manifest's directory.
+EARLIER_MANIFEST = {
+    "argv": ["stats", "--input", "toy.evt", "--rank-frequency-out", "ranks.csv",
+             "--out", "s.json"],
+    "inputs": [{
+        "path": "toy.evt",
+        "sha256": "35c52b1520481e932823e9beec326536e3d0f047f3cb3dc861117a84873d8015",
+    }],
+    "outputs": [{
+        "path": "s.json",
+        "sha256": "de2b9fd0106544e6f0ff24512ae7f27ccca3c583c996ddc6b706b8a2f5eb70ed",
+    }, {
+        "path": "ranks.csv",
+        "sha256": "246f1950827028f7d158ffa606dbdcf6605836074e1b8237e92e0be689ebfc8e",
+    }],
+    "params": {
+        "format": "json-lines", "input": "toy.evt", "kind": "transliteration",
+        "min_graphemes": 2, "out": "s.json", "pages": None, "profile": "vms",
+        "profile_digest": "81513f8f06b6033eede2e9f2af7d332f704b49d8e3ca676a532e2a9416a396eb",
+        "rank_frequency_out": "ranks.csv", "subcommand": "stats",
+        "subsequence_subgroup": False, "units": None,
+    },
+    "subcommand": "stats",
+    "tool": "selfcite",
+    "version": "0.1.0",
+}
+
+
+def test_rerun_of_an_earlier_manifest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("a").mkdir()
+    Path("a/toy.evt").write_text(TOY, encoding="utf-8")
+    Path("a/s.json.manifest.json").write_text(json.dumps(EARLIER_MANIFEST), encoding="utf-8")
+    assert main(["rerun", "a/s.json.manifest.json", "--out-dir", "o"]) == 0
+    assert capsys.readouterr().out == "OK o/s.json\nOK o/ranks.csv\n"
 
 
 def test_rerun_out_dir_under_a_file_is_data_error(toy_input, tmp_path, capsys):
@@ -644,16 +718,36 @@ def test_rerun_over_its_originals_is_usage_error(
     assert capsys.readouterr().out.startswith(f"OK {out_dir}/r/")
 
 
-@pytest.mark.parametrize("content", ["{}", "[1]"], ids=["no_fields", "list"])
-def test_rerun_malformed_manifest_is_data_error(content, tmp_path, capsys):
+def _manifest(argv, params=None, outputs=()) -> str:
+    return json.dumps({
+        "argv": argv, "params": {} if params is None else params, "inputs": [],
+        "outputs": [{"path": path, "sha256": "0" * 64} for path in outputs],
+    })
+
+
+@pytest.mark.parametrize("content", [
+    "{}",
+    "[1]",
+    _manifest(["profile", "--out", "p.json"], [], ["p.json"]),
+    _manifest(["parse", "--input", "toy.evt", "--out", "p.evt"], {"out": "p.evt"}, ["p.evt"]),
+    _manifest(["profile", "--out", "x.json"], {"out": "x.json"}),
+    _manifest(["profile", "--profile", "vms"]),
+    _manifest(["--version"]),
+    _manifest(["grid", "-h"]),
+    _manifest(["shuffle", "--input", "x.evt", "--seed", "r2/1", "--out", "s.evt"]),
+], ids=["no_fields", "list", "params_not_object", "input_not_in_params",
+        "out_without_digest", "no_out", "version", "help", "argv_does_not_parse"])
+def test_rerun_malformed_manifest_is_data_error(content, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     manifest = tmp_path / "run.manifest.json"
     manifest.write_text(content, encoding="utf-8")
     code = main(["rerun", str(manifest), "--out-dir", str(tmp_path / "rerun")])
     assert code == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith(f"error: malformed manifest {manifest}: ")
     assert "Traceback" not in err
     assert not (tmp_path / "rerun").exists()
+    assert os.listdir(tmp_path) == ["run.manifest.json"] and out == ""
 
 
 def test_rerun_of_a_rerun_manifest_is_data_error(tmp_path, monkeypatch, capsys):
@@ -720,6 +814,7 @@ runs = [
     ["network", "--input", toy, "--min-freq", "1", "--out", f"{out}/edges.csv"],
     ["stats", "--input", toy, "--rank-frequency-out", f"{out}/ranks.csv",
      "--out", f"{out}/stats.jsonl"],
+    ["rerun", f"{out}/stats.jsonl.manifest.json", "--out-dir", f"{out}/rerun"],
     ["shuffle", "--input", toy, "--seed", "1", "--out", f"{out}/shuffled.evt"],
     ["path", "--input", toy, "--min-freq", "1", "--from", "ychedy",
      "--to", "kchedy", "--out", f"{out}/path.txt"],
