@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Measure generator defaults against the positional and grid targets.
 
-Used when tuning data/generator_defaults.json; not part of the test suite.
+Used when tuning the field defaults of ``GeneratorParams``; not part of the
+test suite.
 """
 
 import sys
@@ -15,9 +16,9 @@ from selfcite.profiles import load_profile
 
 def main():
     profile = load_profile("vms")
-    params = GeneratorParams.defaults()
+    params = GeneratorParams()
     if len(sys.argv) > 1:
-        params = params.replace(target_token_count=int(sys.argv[1]))
+        params = params._replace(target_token_count=int(sys.argv[1]))
     seeds = range(1, 11)
     print(f"tokens={params.target_token_count} copy={params.copy_probability} "
           f"mut={params.mutation_count_distribution}")
@@ -25,7 +26,7 @@ def main():
           f"{'2nd>':>6} {'subgrp':>7} {'lift':>6} {'decay':>18} {'shufOK':>6} {'t':>5}")
     for seed in seeds:
         t0 = time.time()
-        corpus = generate(params.replace(rng_seed=seed), profile.alphabet)
+        corpus = generate(params._replace(rng_seed=seed), profile.alphabet)
         norm = normalize(corpus, profile.alphabet)
         stats = positional_stats(norm, profile.gallows, profile.prefixes,
                                  profile.line_final_glyphs)

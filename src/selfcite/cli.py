@@ -22,7 +22,6 @@ from pathlib import Path
 import selfcite
 from selfcite.corpus import (
     EmptyCorpusError,
-    ParseError,
     csv_bytes,
     filter_pages,
     format_transliteration,
@@ -33,7 +32,6 @@ from selfcite.corpus import (
     sha256_hex,
 )
 from selfcite.cooccur import MAX_OFFSET, GridSpec, compute_grid, render_grid
-from selfcite.editdist import SegmentationError
 from selfcite.generator import (
     GeneratorParams,
     generate,
@@ -152,10 +150,13 @@ def _write_output(args, data: bytes, extra_params: dict | None = None) -> None:
     _write_bytes(out.with_name(out.name + ".manifest.json"), text.encode("utf-8"))
 
 
-def _aliased_output(args) -> str | None:
-    """Why an output path, once resolved, names an input or an earlier
-    output of the same run, or None. Outputs are checked in the order they
-    are written: ``PATH_DESTS``' reversed, then the manifest."""
+def _unrunnable(args) -> str | None:
+    """Why parsed arguments cannot run together, or None: ``--units`` with
+    plaintext input, or an output path that, once resolved, names an input
+    or an earlier output of the same run. Outputs are checked in the order
+    they are written: ``PATH_DESTS``' reversed, then the manifest."""
+    if getattr(args, "kind", None) == "plaintext" and args.units is not None:
+        return "--units applies to transliterations only"
     inputs, outputs = _paths(args, PATH_DESTS["inputs"]), _paths(args, PATH_DESTS["outputs"])
     seen = {os.path.realpath(path): f"the input {path}" for path in inputs.values()}
     named = [(f"--{dest.replace('_', '-')}", path) for dest, path in reversed(outputs.items())]
@@ -263,15 +264,11 @@ def _cmd_path(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    params = (
-        GeneratorParams.from_file(args.params_file)
-        if args.params_file
-        else GeneratorParams.defaults()
-    )
+    params = GeneratorParams.from_file(args.params_file) if args.params_file else GeneratorParams()
     if args.tokens is not None:
-        params = params.replace(target_token_count=args.tokens)
+        params = params._replace(target_token_count=args.tokens)
     if args.seed is not None:
-        params = params.replace(rng_seed=args.seed)
+        params = params._replace(rng_seed=args.seed)
     profile = load_profile(args.profile)
     args.profile_digest = profile.digest
     corpus = generate(params, profile.alphabet)
@@ -385,6 +382,8 @@ def _cmd_rerun(args) -> int:
         setattr(run, dest, str(base / params[dest]))
     for dest in _paths(run, PATH_DESTS["outputs"]):
         setattr(run, dest, str(out_dir / Path(params[dest]).name))
+    if problem := _unrunnable(run):
+        raise ValueError(f"cannot rerun {args.manifest}: {problem}")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -499,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("generate", help="generate a synthetic corpus")
     sub.add_argument("--params", default=None, dest="params_file",
-                     help="generator parameter JSON (default: packaged values)")
+                     help="generator parameter JSON; keys it omits keep their defaults")
     sub.add_argument("--profile", default="vms")
     sub.add_argument("--tokens", type=_positive_int, default=None)
     sub.add_argument("--seed", type=int, default=None)
@@ -530,15 +529,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(parser, args) -> int:
     """Check what argparse cannot, run the subcommand, map errors to exit codes."""
-    if getattr(args, "kind", None) == "plaintext" and args.units is not None:
-        parser.error("--units applies to transliterations only")
-    if clash := _aliased_output(args):  # checked before anything is written
-        parser.error(clash)
+    if problem := _unrunnable(args):  # checked before anything is written
+        parser.error(problem)
     try:
         return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))
-    except (ParseError, SegmentationError, ValueError) as exc:
+    except ValueError as exc:  # ParseError and SegmentationError too
         where = f"--input {args.input}: " if isinstance(exc, EmptyCorpusError) else ""
         print(f"error: {where}{exc}", file=sys.stderr)
         return 1

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from array import array
 from bisect import bisect
 from collections import deque
@@ -57,8 +58,10 @@ SOURCE_BIAS_KERNELS = {
 # parameter, so a wrongly typed file value is a data error, not a TypeError.
 
 def _number(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+    # ``not <=`` rejects NaN too, and an int past the float range
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
     return value
 
 
@@ -102,18 +105,23 @@ def _distribution(name: str, value) -> tuple[tuple[int, float], ...]:
 
 class _GeneratorParamsFields(NamedTuple):
     seed_words: tuple[str, ...] = ("daiin", "ol", "chedy")
-    copy_probability: float = 0.9
-    mutation_count_distribution: tuple[tuple[int, float], ...] = ((0, 0.5), (1, 0.3), (2, 0.2))
+    copy_probability: float = 0.88
+    mutation_count_distribution: tuple[tuple[int, float], ...] = ((0, 0.45), (1, 0.35), (2, 0.2))
     mutation_kind_weights: tuple[tuple[str, float], ...] = (
         ("insert", 0.35), ("delete", 0.35), ("substitute_similar", 0.3),
     )
     source_window_lines: int = 10
     source_position_bias: str = "inverse_distance"
-    line_length_distribution: tuple[tuple[int, float], ...] = ((7, 0.5), (9, 0.5))
-    paragraph_length_distribution: tuple[tuple[int, float], ...] = ((4, 0.5), (6, 0.5))
-    line_initial_prefix_probability: float = 0.4
+    line_length_distribution: tuple[tuple[int, float], ...] = (
+        (5, 0.08), (6, 0.14), (7, 0.18), (8, 0.2),
+        (9, 0.16), (10, 0.12), (11, 0.08), (12, 0.04),
+    )
+    paragraph_length_distribution: tuple[tuple[int, float], ...] = (
+        (2, 0.1), (3, 0.2), (4, 0.25), (5, 0.2), (6, 0.15), (8, 0.1),
+    )
+    line_initial_prefix_probability: float = 0.65
     prefix_graphemes: tuple[str, ...] = ("y", "o", "s", "d")
-    paragraph_initial_gallows_probability: float = 0.8
+    paragraph_initial_gallows_probability: float = 0.86
     gallows_graphemes: tuple[str, ...] = ("k", "t", "p", "f")
     second_word_strip_probability: float = 0.05
     line_final_glyph_probability: float = 0.0
@@ -124,7 +132,8 @@ class _GeneratorParamsFields(NamedTuple):
 
 
 class GeneratorParams(CheckedRecord, _GeneratorParamsFields):
-    """Full parameterization of the generation process; seedable."""
+    """Full parameterization of the generation process; seedable. The field
+    defaults are the values calibrated with ``scripts/calibrate.py``."""
 
     __slots__ = ()
 
@@ -168,9 +177,11 @@ class GeneratorParams(CheckedRecord, _GeneratorParamsFields):
             if kind not in MUTATION_KINDS:
                 raise ValueError(f"unknown mutation kind {kind!r}")
             if weight < 0:
-                raise ValueError("mutation kind weights must be nonnegative")
-        if sum(w for _, w in kinds) <= 0:
-            raise ValueError("mutation kind weights must not all be zero")
+                raise ValueError("mutation_kind_weights must be nonnegative")
+        if not 0.0 < (total := sum(w for _, w in kinds)) < math.inf:
+            raise ValueError(
+                f"mutation_kind_weights must total a positive finite number, got {total}"
+            )
         if any(k < 0 for k, _ in self.mutation_count_distribution):
             raise ValueError("mutation counts must be nonnegative")
         if any(k < 1 for k, _ in self.line_length_distribution):
@@ -188,6 +199,8 @@ class GeneratorParams(CheckedRecord, _GeneratorParamsFields):
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorParams":
+        """The defaults with the keys of ``data`` set; a ``version`` key,
+        which earlier parameter files carry, is ignored."""
         if not isinstance(data, dict):
             raise ValueError(f"expected a JSON object, got {type(data).__name__}")
         data = dict(data)
@@ -205,35 +218,20 @@ class GeneratorParams(CheckedRecord, _GeneratorParamsFields):
         except ValueError as exc:  # JSONDecodeError is one too
             raise ValueError(f"malformed generator parameters {path}: {exc}") from None
 
-    @classmethod
-    def defaults(cls) -> "GeneratorParams":
-        raw = Path(__file__).with_name("data").joinpath("generator_defaults.json")
-        return cls.from_dict(json.loads(raw.read_text(encoding="utf-8")))
-
-    def replace(self, **changes) -> "GeneratorParams":
-        return self._replace(**changes)
-
-
-def _table(values, weights) -> tuple:
-    """``values`` with the running weight totals and the float total that
-    ``random.choices`` builds from plain weights: ``list(accumulate(...))``
-    and ``cum[-1] + 0.0``, rejected unless positive and finite."""
-    cum = list(accumulate(weights))
-    total = cum[-1] + 0.0
-    if not 0.0 < total < math.inf:
-        raise ValueError(f"weights must total a positive finite number, got {total}")
-    return values, cum, total
-
 
 def _cumulative(distribution) -> tuple:
-    """The ``_table`` of a (value, weight) distribution."""
-    return _table(tuple(k for k, _ in distribution), (v for _, v in distribution))
+    """The values of a (value, weight) distribution, with the running totals
+    and the float total that ``random.choices`` builds from plain weights
+    (``list(accumulate(...))``, ``cum[-1] + 0.0``): checked weights make
+    that total positive and finite."""
+    cum = list(accumulate(v for _, v in distribution))
+    return tuple(k for k, _ in distribution), cum, cum[-1] + 0.0
 
 
 def _draw(rng: random.Random, table):
-    """One weighted draw from a ``_table``: the single ``random()`` call and
-    ``bisect`` of ``random.choices(values, weights)[0]``, for a table built
-    once instead of per draw. Uniform draws likewise call
+    """One weighted draw from a ``_cumulative`` table: the single
+    ``random()`` call and ``bisect`` of ``random.choices(values,
+    weights)[0]``, for a table built once instead of per draw. Uniform draws likewise call
     ``rng._randbelow(n)``, the one call that ``randrange(n)`` and
     ``choice(seq)`` make for ``n`` >= 1. The ``rng.choices``, ``randrange``
     and ``choice`` oracle tests in ``tests/`` catch any change to these
@@ -243,9 +241,9 @@ def _draw(rng: random.Random, table):
 
 
 def _kind_tables(params: GeneratorParams) -> dict[tuple[bool, bool], tuple]:
-    """The mutation-kind ``_table`` for each (can delete, can substitute)
-    case: the kinds of positive weight, in parameter order, that the word
-    allows, or a lone insert when none is left."""
+    """The mutation-kind ``_cumulative`` table for each (can delete, can
+    substitute) case: the kinds of positive weight, in parameter order, that
+    the word allows, or a lone insert when none is left."""
     tables = {}
     for can_delete in (False, True):
         for can_substitute in (False, True):
@@ -276,28 +274,19 @@ def _mutate(seq, rng, partners, kind_tables, insertable):
     return seq[:pos] + (similar[randbelow(len(similar))],) + seq[pos + 1 :]
 
 
-def _resegment(word, raw, segment, segmented):
-    """Memoise in ``segmented`` and return the segmentation of ``raw``, the
-    surface form of ``word``: ``word`` itself when it is already canonical,
-    so the memo holds the strings ``word`` holds rather than new ones."""
-    graphemes = segment(raw)
-    if graphemes == word:
-        graphemes = word
-    segmented[raw] = graphemes
-    return graphemes
+@lru_cache(maxsize=4096)
+def _row_weights(bias: str, i: int, m: int, length: int) -> tuple[float, ...]:
+    """Kernel weights of the words of a ``length``-word line ``i`` lines
+    above the current one (0 = the current line) for the word being written
+    at position ``m``."""
+    kernel = SOURCE_BIAS_KERNELS[bias]
+    return tuple(kernel(i, p, m) for p in range(length))
 
 
 @lru_cache(maxsize=1024)
-def _line_weights(
-    bias: str, i: int, length: int, positions: int
-) -> tuple[tuple[float, ...], ...]:
-    """Kernel weights of the words of a ``length``-word line ``i`` lines
-    above the current one (0 = the current line): item m holds them for the
-    word being written at position m, for each m below ``positions``."""
-    kernel = SOURCE_BIAS_KERNELS[bias]
-    return tuple(
-        tuple(kernel(i, p, m) for p in range(length)) for m in range(positions)
-    )
+def _line_weights(bias: str, i: int, length: int, positions: int) -> tuple[tuple[float, ...], ...]:
+    """The ``_row_weights`` of a line for each position below ``positions``."""
+    return tuple(_row_weights(bias, i, m, length) for m in range(positions))
 
 
 def _source_window(above, bias, positions):
@@ -324,7 +313,7 @@ def _pick_source(window, current_line, m, rng, bias):
     if not n and not above:
         return None
     cum = list(accumulate(chain(
-        _line_weights(bias, 0, n, m + 1)[m],
+        _row_weights(bias, 0, m, n),
         chain.from_iterable(map(itemgetter(m), weights)),
     )))
     k = bisect(cum, rng.random() * cum[-1], 0, len(cum) - 1)
@@ -364,6 +353,19 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
     # grapheme sequence always matches the surface form. ``segmented``
     # memoises the segmentation of each surface form.
     segmented: dict[str, tuple[str, ...]] = {}
+
+    def canonical(word):
+        """The segmentation of ``word``'s surface form: ``word`` itself when
+        canonical, so the memo holds ``word``'s strings, not new ones."""
+        raw = "".join(word)
+        graphemes = segmented.get(raw)
+        if graphemes is None:
+            graphemes = segment(raw)
+            if graphemes == word:
+                graphemes = word
+            segmented[raw] = graphemes
+        return graphemes
+
     types: dict[tuple[str, ...], int] = {}  # a word's graphemes -> its type id
     rng = random.Random(params.rng_seed)
     random_, randbelow = rng.random, rng._randbelow
@@ -420,19 +422,16 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
                         # an unmutated copy is already canonical
                         for _ in range(k):
                             word = _mutate(word, rng, partners, kind_tables, insertable)
-                        word = segmented.get(raw := "".join(word)) or _resegment(
-                            word, raw, segment, segmented)
+                        word = canonical(word)
                 if m == 0:
                     first_base = word
                     if initials and random_() < initial_probability:
                         word = (initials[randbelow(len(initials))],) + word
-                        word = segmented.get(raw := "".join(word)) or _resegment(
-                            word, raw, segment, segmented)
+                        word = canonical(word)
                         added_initial = True
                 if m == line_len - 1 and finals and random_() < final_probability:
                     word += (finals[randbelow(len(finals))],)
-                    word = segmented.get(raw := "".join(word)) or _resegment(
-                        word, raw, segment, segmented)
+                    word = canonical(word)
                 current.append(word)
             emitted += len(current)
             page_lines += 1

@@ -66,9 +66,9 @@ def vms_normalized():
 
 @pytest.fixture(scope="session")
 def generated_corpora():
-    params = GeneratorParams.defaults()
+    params = GeneratorParams()
     return {
-        seed: generate(params.replace(rng_seed=seed), PROFILE.alphabet)
+        seed: generate(params._replace(rng_seed=seed), PROFILE.alphabet)
         for seed in (1, 2, 3, 4, 5)
     }
 
@@ -254,7 +254,7 @@ def test_criterion_6_generator_signature(generated_corpora):
         lifts.append(report.adjacency_lift)
         good += report.row_decay_ok and report.adjacency_lift >= 1.5
     assert good >= 4, f"signature held in only {good}/5 seeds"
-    params = GeneratorParams.defaults().replace(rng_seed=1)
+    params = GeneratorParams(rng_seed=1)
     again = generate(params, PROFILE.alphabet)
     assert format_transliteration(again).encode() == format_transliteration(
         generated_corpora[1]

@@ -165,7 +165,12 @@ def test_settings_file_errors_name_the_file(argv, tmp_path, capsys):
     ('{"line_length_distribution": [1, 2]}', "line_length_distribution"),
     ("[1, 2]", "expected a JSON object"),
     ('{"line_length_distribution": [[7.5, 1.0]]}', "line_length_distribution"),
-], ids=["string_probability", "bare_numbers", "list", "fractional_length"])
+    ('{"mutation_count_distribution": {"0": NaN, "1": 1.0}}', "mutation_count_distribution"),
+    ('{"mutation_count_distribution": {"0": Infinity}}', "mutation_count_distribution"),
+    ('{"mutation_kind_weights": {"insert": NaN, "delete": 1.0}}', "mutation_kind_weights"),
+    ('{"mutation_kind_weights": {"insert": Infinity}}', "mutation_kind_weights"),
+], ids=["string_probability", "bare_numbers", "list", "fractional_length",
+        "nan_count", "infinite_count", "nan_kind", "infinite_kind"])
 def test_params_file_with_wrong_types_is_data_error(content, named, tmp_path,
                                                     capsys):
     params = tmp_path / "params.json"
@@ -176,6 +181,16 @@ def test_params_file_with_wrong_types_is_data_error(content, named, tmp_path,
     assert captured.err.startswith(f"error: malformed generator parameters {params}: ")
     assert named in captured.err
     assert "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_params_file_sets_only_the_keys_it_holds(tmp_path):
+    params = tmp_path / "params.json"
+    params.write_text('{"rng_seed": 1}', encoding="utf-8")
+    a, b = tmp_path / "a.evt", tmp_path / "b.evt"
+    assert main(["generate", "--tokens", "2000", "--params", str(params), "--out", str(a)]) == 0
+    assert main(["generate", "--tokens", "2000", "--seed", "1", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 WORDS = ("daiin", "chol", "chedy", "ol", "qokeedy")
@@ -762,6 +777,40 @@ def test_rerun_of_a_rerun_manifest_is_data_error(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: malformed manifest m.json: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def _assert_rerun_is_refused(manifest, named, capsys):
+    code = main(["rerun", manifest, "--out-dir", "r2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: cannot rerun {manifest}: {named}"]
+    assert not Path("r2").exists()
+
+
+def test_rerun_of_an_argv_that_cannot_run_is_data_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("x.txt").write_text("daiin ol\n", encoding="utf-8")
+    Path("m.json").write_text(json.dumps({
+        "argv": ["parse", "--input", "x.txt", "--kind", "plaintext", "--units", "P",
+                 "--out", "p.evt"],
+        "params": {"input": "x.txt", "out": "p.evt"},
+        "inputs": [{"path": "x.txt", "sha256": hashlib.sha256(b"daiin ol\n").hexdigest()}],
+        "outputs": [{"path": "p.evt", "sha256": "0" * 64}],
+    }), encoding="utf-8")
+    _assert_rerun_is_refused("m.json", "--units applies to transliterations only", capsys)
+
+
+def test_rerun_of_outputs_that_share_a_name_is_data_error(tmp_path, monkeypatch, capsys):
+    # each output goes to --out-dir under its own name, so these two collide
+    monkeypatch.chdir(tmp_path)
+    Path("x.evt").write_text(TOY, encoding="utf-8")
+    for directory in ("a", "b"):
+        Path(directory).mkdir()
+    assert main(["stats", "--input", "x.evt", "--out", "a/s.csv",
+                 "--rank-frequency-out", "b/s.csv"]) == 0
+    _assert_rerun_is_refused(
+        "a/s.csv.manifest.json",
+        "--out r2/s.csv is the same file as --rank-frequency-out r2/s.csv", capsys)
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -453,7 +453,7 @@ def test_grid_peak_memory_is_bounded():
     # rows in uint16 and pair keys in int32, this book's grids peak at about
     # 1.2 MB above their inputs; with intp tables and rows and int64 keys
     # they peaked at 2.4 MB.
-    corpus = normalize(generate(GeneratorParams.defaults().replace(
+    corpus = normalize(generate(GeneratorParams(
         target_token_count=3000, rng_seed=1), VMS), VMS)
     spec = GridSpec(alphabet=VMS)
     tracemalloc.start()
@@ -501,7 +501,7 @@ def test_csv_determinism():
 
 
 def test_shuffle_flattens_proportions():
-    params = GeneratorParams.defaults().replace(target_token_count=3000, rng_seed=9)
+    params = GeneratorParams(target_token_count=3000, rng_seed=9)
     corpus = generate(params, VMS)
     norm = normalize(corpus, VMS)
     spec = GridSpec(alphabet=VMS)

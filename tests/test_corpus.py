@@ -399,7 +399,7 @@ def _corpus_from(source: str, text: str, seed: int) -> Corpus:
     if source == "plaintext":
         return parse_plaintext(text.replace(".", " "))
     if source == "generate":
-        params = GeneratorParams.defaults().replace(
+        params = GeneratorParams(
             target_token_count=20 + seed % 200, rng_seed=seed
         )
         return generate(params, VMS)
@@ -517,7 +517,7 @@ def test_columnar_views_match_the_oracles(lines, source, steps, alphabet, seed):
     plain = text.replace(".", " ")
     min_graphemes = seed % 3
     if source == "generate":
-        generated = generate(GeneratorParams.defaults().replace(
+        generated = generate(GeneratorParams(
             target_token_count=20 + seed % 200, rng_seed=seed), VMS)
         text = format_transliteration(generated)
     library_sources = {

@@ -548,7 +548,7 @@ def test_replace_normalizes_as_the_constructor_does():
     assert alphabet.graphemes == ("a", "b", "c", "d")
     assert alphabet.similarity_groups == (frozenset({"a", "d"}),)
     assert Alphabet._make([list(alphabet.graphemes), [["a", "d"]], 1, 2, 1]) == alphabet
-    params = GeneratorParams().replace(line_length_distribution=[["3", 1]])
+    params = GeneratorParams()._replace(line_length_distribution=[["3", 1]])
     assert params.line_length_distribution == ((3, 1.0),)
     made = GeneratorParams._make(
         [["3", 1]] if name == "line_length_distribution" else value

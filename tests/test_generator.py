@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import tracemalloc
 from collections import Counter, deque
 
 import pytest
@@ -15,8 +16,10 @@ from selfcite.generator import (
     _cumulative,
     _draw,
     _kind_tables,
+    _line_weights,
     _mutate,
     _pick_source,
+    _row_weights,
     _source_window,
     generate,
     shuffle_control,
@@ -34,7 +37,7 @@ VMS = PROFILE.alphabet
 def small_params(**overrides):
     base = dict(target_token_count=300, rng_seed=7)
     base.update(overrides)
-    return GeneratorParams.defaults().replace(**base)
+    return GeneratorParams(**base)
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +81,11 @@ def test_params_reject_unknown_field():
     ("target_token_count", [10]),
     ("line_length_distribution", [[7.5, 1.0]]),
     ("line_length_distribution", [[True, 1.0]]),
+    ("mutation_count_distribution", {"0": float("nan"), "1": 1.0}),
+    ("mutation_kind_weights", {"insert": float("inf")}),
+    ("mutation_kind_weights", {"insert": 10**400}),
+    ("copy_probability", float("nan")),
+    ("mutation_kind_weights", {"insert": 1e308, "delete": 1e308}),
 ])
 def test_params_reject_wrong_types_naming_the_field(field, value):
     with pytest.raises(ValueError, match=field):
@@ -113,10 +121,23 @@ def test_params_file_with_bad_json_is_named(tmp_path):
         GeneratorParams.from_file(path)
 
 
-def test_defaults_load_from_packaged_file():
-    params = GeneratorParams.defaults()
+def test_defaults_are_the_calibrated_values():
+    params = GeneratorParams()
     assert params.seed_words == ("daiin", "ol", "chedy")
     assert params.target_token_count == 10_000
+    assert params.copy_probability == 0.88
+    assert params.line_initial_prefix_probability == 0.65
+    assert params.paragraph_initial_gallows_probability == 0.86
+    assert [k for k, _ in params.line_length_distribution] == list(range(5, 13))
+
+
+def test_params_from_dict_sets_only_the_keys_it_holds():
+    assert GeneratorParams.from_dict({"rng_seed": 5}) == GeneratorParams(rng_seed=5)
+    # keys of files copied from the earlier defaults template, whose
+    # "version" is ignored, still load
+    template = {"version": 1, "copy_probability": 0.88,
+                "mutation_count_distribution": {"0": 0.45, "1": 0.35, "2": 0.2}}
+    assert GeneratorParams.from_dict(template) == GeneratorParams()
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +204,7 @@ GENERATOR_PINS = [
          "initials1", "substitute_only"],
 )
 def test_output_matches_pinned_digest(overrides, digest):
-    params = GeneratorParams.defaults().replace(target_token_count=3000, **overrides)
+    params = GeneratorParams(target_token_count=3000, **overrides)
     text = format_transliteration(generate(params, VMS))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
@@ -220,6 +241,23 @@ def test_pick_source_matches_per_candidate_oracle(
             oracle_pick_source(history, current, position, slow, params)
         )
         assert fast.getstate() == slow.getstate()
+
+
+def test_source_weights_of_the_current_line_are_one_row_per_position():
+    # Three 120-word lines. The current line's weights are a row of at most
+    # 120 floats per position, 0.23 MB in all, and the two lines above hold
+    # 2 x 120 x 120 floats (0.9 MB); a table of m + 1 rows per position m
+    # would hold 576k floats, and generate would peak near 20 MB.
+    params = GeneratorParams(line_length_distribution=((120, 1.0),), target_token_count=360)
+    _row_weights.cache_clear()
+    _line_weights.cache_clear()
+    tracemalloc.start()
+    try:
+        generate(params, VMS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 @given(
@@ -342,7 +380,7 @@ def test_line_final_effect_appends_glyph():
 
 
 def test_generated_text_hits_positional_anchors():
-    corpus = generate(GeneratorParams.defaults(), VMS)
+    corpus = generate(GeneratorParams(), VMS)
     norm = normalize(corpus, VMS)
     stats = positional_stats(norm, PROFILE.gallows, PROFILE.prefixes,
                              PROFILE.line_final_glyphs)
