@@ -239,11 +239,15 @@ def _cmd_grid(args) -> int:
     return 0
 
 
-def _cmd_network(args) -> int:
+def _load_graph(args):
+    """The type table of the normalized corpus and its similarity graph."""
     corpus, profile = _load_corpus(args)
-    corpus = normalize(corpus, profile.alphabet, args.min_graphemes)
-    table = TypeTable.from_corpus(corpus, profile.alphabet)
-    graph = build_graph(table, profile.alphabet, args.min_freq)
+    table = TypeTable.from_corpus(normalize(corpus, profile.alphabet, args.min_graphemes))
+    return table, build_graph(table, profile.alphabet, args.min_freq)
+
+
+def _cmd_network(args) -> int:
+    table, graph = _load_graph(args)
     graphemes = dict(zip(table.words, table.graphemes))
     rows = [(a, b, edge_operation(graphemes[a], graphemes[b])) for a, b in sorted(graph.edges())]
     _emit(args, csv_bytes([("type_a", "type_b", "operation"), *rows]))
@@ -251,10 +255,7 @@ def _cmd_network(args) -> int:
 
 
 def _cmd_path(args) -> int:
-    corpus, profile = _load_corpus(args)
-    corpus = normalize(corpus, profile.alphabet, args.min_graphemes)
-    table = TypeTable.from_corpus(corpus, profile.alphabet)
-    graph = build_graph(table, profile.alphabet, args.min_freq)
+    _, graph = _load_graph(args)
     source = getattr(args, "from")
     path = shortest_path(graph, source, args.to)
     if path is None:

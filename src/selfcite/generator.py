@@ -24,8 +24,8 @@ import sys
 from array import array
 from bisect import bisect
 from collections import deque
-from functools import lru_cache
-from itertools import accumulate, chain, count, repeat
+from functools import cache
+from itertools import accumulate, chain, count
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -47,10 +47,11 @@ _PAGE_CAPACITY_LINES = 25
 MUTATION_KINDS = ("insert", "delete", "substitute_similar")
 
 #: Source-selection weight families, keyed by name so parameter files can
-#: pick one; each maps (line_offset, candidate_pos, current_pos) -> weight.
+#: pick one; each maps (line_offset, position_offset) -> weight, the offsets
+#: of a candidate word from the one being written.
 SOURCE_BIAS_KERNELS = {
-    "inverse_distance": lambda i, p, m: 1.0 / ((1 + i) * (1 + abs(p - m))),
-    "uniform": lambda i, p, m: 1.0,
+    "inverse_distance": lambda i, d: 1.0 / ((1 + i) * (1 + abs(d))),
+    "uniform": lambda i, d: 1.0,
 }
 
 
@@ -274,48 +275,38 @@ def _mutate(seq, rng, partners, kind_tables, insertable):
     return seq[:pos] + (similar[randbelow(len(similar))],) + seq[pos + 1 :]
 
 
-@lru_cache(maxsize=4096)
-def _row_weights(bias: str, i: int, m: int, length: int) -> tuple[float, ...]:
-    """Kernel weights of the words of a ``length``-word line ``i`` lines
-    above the current one (0 = the current line) for the word being written
-    at position ``m``."""
+def _source_weights(bias: str, reach: int):
+    """Kernel weights for positions below ``reach`` in lines of at most
+    ``reach`` words. ``by_offset(i)[reach + d]`` weighs a word ``i`` lines
+    above the current one (0 = the current line) and ``d`` positions right
+    of the one being written; ``rows(i, length)[m]``, a slice of that list,
+    weighs a ``length``-word line's words for position ``m``."""
     kernel = SOURCE_BIAS_KERNELS[bias]
-    return tuple(kernel(i, p, m) for p in range(length))
+
+    @cache
+    def by_offset(i):
+        return [kernel(i, d) for d in range(-reach, reach + 1)]
+
+    @cache
+    def rows(i, length):
+        weights = by_offset(i)
+        return tuple(weights[reach - m : reach - m + length] for m in range(reach))
+
+    return by_offset, rows
 
 
-@lru_cache(maxsize=1024)
-def _line_weights(bias: str, i: int, length: int, positions: int) -> tuple[tuple[float, ...], ...]:
-    """The ``_row_weights`` of a line for each position below ``positions``."""
-    return tuple(_row_weights(bias, i, m, length) for m in range(positions))
-
-
-def _source_window(above, bias, positions):
-    """The lines ``above`` the current one, nearest last, as a source draw
-    at any position below ``positions`` reads them: their words, nearest
-    line first, in one list, and each line's ``_line_weights``. Every
-    position of a line reads the same ones, so a line builds them once."""
-    weights = tuple(map(
-        _line_weights, repeat(bias), count(1), map(len, reversed(above)),
-        repeat(positions),
-    ))
-    return list(chain.from_iterable(reversed(above))), weights
-
-
-def _pick_source(window, current_line, m, rng, bias):
+def _pick_source(above, rows, current_line, own, m, rng):
     """Weighted draw of a source word for position ``m`` from the current
-    line's words, then the ``_source_window``'s.
+    line's words, weighted by ``own``, then the words ``above``, nearest
+    line first, each line weighted by its ``rows`` entry.
 
     Reproduces ``rng.choices(candidates, weights)[0]``: the same kernel
     weights in the same order, one C-level ``accumulate`` and one
     ``random()``. The weights are positive, so their total needs no check."""
-    above, weights = window
     n = len(current_line)
     if not n and not above:
         return None
-    cum = list(accumulate(chain(
-        _row_weights(bias, 0, m, n),
-        chain.from_iterable(map(itemgetter(m), weights)),
-    )))
+    cum = list(accumulate(chain(own, chain.from_iterable(map(itemgetter(m), rows)))))
     k = bisect(cum, rng.random() * cum[-1], 0, len(cum) - 1)
     return current_line[k] if k < n else above[k - n]
 
@@ -342,8 +333,10 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
     partners = alphabet.similar_partners
     segment = alphabet.segment
     target = params.target_token_count
-    bias = params.source_position_bias
-    longest_line = max(k for k, _ in params.line_length_distribution)
+    # no line, cut at the target, is longer than ``reach``
+    reach = min(max(k for k, _ in params.line_length_distribution), target)
+    by_offset, rows = _source_weights(params.source_position_bias, reach)
+    own = by_offset(0)
     copy_probability = params.copy_probability
     strip_probability = params.second_word_strip_probability
     finals = params.line_final_glyphs
@@ -369,7 +362,7 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
     types: dict[tuple[str, ...], int] = {}  # a word's graphemes -> its type id
     rng = random.Random(params.rng_seed)
     random_, randbelow = rng.random, rng._randbelow
-    # the lines a source draw can read: all but the current one of the window
+    # the lines a source draw can read, nearest first: the window's but the current one
     above: deque[list[tuple[str, ...]]] = deque(maxlen=params.source_window_lines - 1)
     emitted = 0
 
@@ -394,7 +387,8 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
             if emitted >= target:
                 break
             line_len = _draw(rng, line_lengths)
-            window = _source_window(above, bias, longest_line)
+            above_words = list(chain.from_iterable(above))
+            above_rows = tuple(map(rows, count(1), map(len, above)))
             # a paragraph's opening word may gain a gallows glyph, any other
             # line's opening word a prefix glyph
             if line_idx == 0:
@@ -415,7 +409,8 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
                     if (m or ids) and random_() < copy_probability:
                         # the window can still be empty, e.g. at position 0
                         # with a one-line source window
-                        word = _pick_source(window, current, m, rng, bias)
+                        word = _pick_source(above_words, above_rows, current,
+                                            own[reach - m : reach], m, rng)
                     if word is None:
                         word = seeds[randbelow(len(seeds))]
                     elif k := _draw(rng, mutation_counts):
@@ -441,7 +436,7 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
             ids.extend([types.setdefault(w, len(types)) for w in current])
             offsets.append(len(ids))
             paragraph_ids.append(para_id)
-            above.append(current)
+            above.appendleft(current)
         para_id += 1
 
     del segmented  # not part of the corpus: free it before the corpus is built

@@ -412,7 +412,7 @@ def oracle_pick_source(history, current_line, m, rng, params):
     for i, line in enumerate(window):
         for p, word in enumerate(line):
             candidates.append(word)
-            weights.append(kernel(i, p, m))
+            weights.append(kernel(i, p - m))
     if not candidates:
         return None
     return rng.choices(candidates, weights)[0]

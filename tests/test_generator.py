@@ -3,6 +3,7 @@ import random
 import re
 import tracemalloc
 from collections import Counter, deque
+from itertools import chain, count
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -16,11 +17,9 @@ from selfcite.generator import (
     _cumulative,
     _draw,
     _kind_tables,
-    _line_weights,
     _mutate,
     _pick_source,
-    _row_weights,
-    _source_window,
+    _source_weights,
     generate,
     shuffle_control,
     validate_signature,
@@ -234,30 +233,65 @@ def test_pick_source_matches_per_candidate_oracle(
     current = _window_lines([current_length], "c")[0]
     # one window serves every position of its line
     positions = m + 1 + spare_positions
-    window = _source_window(deque(history, maxlen=window_lines - 1), bias, positions)
+    # as generate reads them: no line is longer than reach, nor any
+    # position past it
+    reach = max(positions, *history_lengths, current_length)
+    by_offset, rows = _source_weights(bias, reach)
+    above = deque(maxlen=window_lines - 1)
+    above.extendleft(history)
+    above_words = list(chain.from_iterable(above))
+    above_rows = tuple(map(rows, count(1), map(len, above)))
     fast, slow = random.Random(seed), random.Random(seed)
     for position in (m, m, *range(positions)):
-        assert _pick_source(window, current, position, fast, bias) == (
+        own = by_offset(0)[reach - position : reach - position + current_length]
+        assert _pick_source(above_words, above_rows, current, own, position, fast) == (
             oracle_pick_source(history, current, position, slow, params)
         )
         assert fast.getstate() == slow.getstate()
 
 
-def test_source_weights_of_the_current_line_are_one_row_per_position():
-    # Three 120-word lines. The current line's weights are a row of at most
-    # 120 floats per position, 0.23 MB in all, and the two lines above hold
-    # 2 x 120 x 120 floats (0.9 MB); a table of m + 1 rows per position m
-    # would hold 576k floats, and generate would peak near 20 MB.
-    params = GeneratorParams(line_length_distribution=((120, 1.0),), target_token_count=360)
-    _row_weights.cache_clear()
-    _line_weights.cache_clear()
+def _traced_generate(params):
+    """The traced peak of ``generate(params, VMS)``, and what stays traced
+    once it has returned and its corpus is dropped."""
     tracemalloc.start()
     try:
-        generate(params, VMS)
+        corpus = generate(params, VMS)
         peak = tracemalloc.get_traced_memory()[1]
+        del corpus
+        return peak, tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+
+
+def test_source_weights_of_the_current_line_are_one_row_per_position():
+    # Three 120-word lines. The current line's weights are one slice of at
+    # most 120 weights per draw, and the two lines above hold 2 x 120 x 120
+    # pointers (0.23 MB); a table of m + 1 rows per position m would hold
+    # 576k floats, and generate would peak near 20 MB.
+    peak, _ = _traced_generate(
+        GeneratorParams(line_length_distribution=((120, 1.0),), target_token_count=360)
+    )
     assert peak < 5_000_000
+    # Five 400-word lines: the four lines above hold 4 x 400 x 400 pointers
+    # (5.1 MB), all freed when generate returns; weights cached past the
+    # call, with floats of their own per row, would stay held (23 MB).
+    peak, held = _traced_generate(
+        GeneratorParams(line_length_distribution=((400, 1.0),), target_token_count=2000)
+    )
+    assert held < 1_000_000
+    assert peak < 10_000_000
+
+
+def test_weights_reach_no_further_than_the_token_target():
+    # The one 20,000-word line drawn is cut at the 500-token target, so no
+    # line is longer than 500 words and no position reaches past 500.
+    # Weight rows for all 20,000 positions of each 2-word line above
+    # would peak near 9 MB.
+    params = GeneratorParams(
+        line_length_distribution=((2, 0.9), (20_000, 0.1)), target_token_count=500
+    )
+    peak, _ = _traced_generate(params)
+    assert peak < 3_000_000
 
 
 @given(
