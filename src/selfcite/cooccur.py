@@ -10,8 +10,8 @@ words are compared.
 Counts are exact integers per cell; proportions are rational values formed
 at render time. Type ids come from the corpus's id stream,
 :attr:`selfcite.corpus.Corpus.ids`, and one
-:func:`selfcite.editdist.word_arrays` table of its types' graphemes serves
-both the prefilter and the distance kernel. Grids for several target
+:func:`selfcite.editdist.word_arrays` flat store of its types' graphemes
+serves both the prefilter and the distance kernel. Grids for several target
 distances are computed in one pass, bounded by the largest distance:
 
 1. The cells are those the data reaches: rows up to the last line and
@@ -27,9 +27,9 @@ distances are computed in one pass, bounded by the largest distance:
    distinct keys with a count each, so memory follows distinct pairs.
 3. The cells' keys, sorted together, give the window's distinct kept pairs,
    and one :func:`selfcite.editdist.bounded_distances` batch codes them. The
-   batch filters, sorts and walks them in fixed slices, each chunk gathering
-   its own rows of the word table, so beside the codes its memory stays that
-   of one slice however many pairs the window holds.
+   batch filters, sorts and walks them in fixed slices, each chunk with
+   clipped reads of the flat store in a band no wider than the bound or its
+   longest word, so beside the codes its memory is one slice's at most.
 4. Each cell looks its keys up among those distinct pairs and sums their
    counts at each requested distance, so memory follows the data, not the
    bound or the window.
@@ -143,7 +143,7 @@ def _key_dtype(n_types: int):
 
 
 def _cell_keys(corpus: Corpus, spec: GridSpec, bound: int):
-    """The :func:`word_arrays` table of the corpus's types, in id order, and
+    """The :func:`word_arrays` store of the corpus's types, in id order, and
     per window cell that the data reaches: its pair instances, its
     distance-0 matches, and the distinct keys of its other instances within
     the lower bounds, with a count each."""
@@ -153,7 +153,7 @@ def _cell_keys(corpus: Corpus, spec: GridSpec, bound: int):
     words = word_arrays(list(map(len, segmentations)),
                         spec.alphabet.encode(chain.from_iterable(segmentations)),
                         spec.alphabet)
-    _, type_lengths, type_masks = words
+    _, type_lengths, type_masks, _ = words
     n_types = max(len(segmentations), 1)
     key_type = _key_dtype(n_types)
     line_lengths = np.diff(corpus.offsets)

@@ -14,10 +14,12 @@ rejected, which keeps the per-symbol costs a metric and the sequence
 distance well behaved.
 
 One kernel computes the distance: :func:`bounded_distances`, a banded DP in
-numpy over a whole batch of word pairs. It reads the words from a
-:func:`word_arrays` table, which the co-occurrence grids build once for their
-prefilter and for every distinct window pair of this batch;
-:func:`edit_distance` passes it a batch of one.
+numpy over a whole batch of word pairs, which :func:`edit_distance` calls
+with a batch of one. It reads the words from a :func:`word_arrays` store,
+the ids end to end in one flat array, which the co-occurrence grids build
+once for their prefilter and for every distinct window pair of this batch;
+each chunk takes its rows by clipped reads, in a band no wider than the
+bound or the chunk's longest word.
 Its reference is the scalar banded DP ``oracle_bounded_distance`` in
 ``tests/helpers.py``.
 
@@ -222,28 +224,23 @@ def _common_prefix(x: Sequence[int], y: Sequence[int]) -> int:
 
 
 def word_arrays(lengths: Sequence[int], ids: Iterable[int], alphabet: Alphabet):
-    """(table, lengths, masks) of words given by their lengths and by their
-    grapheme ids one word after another.
-
-    ``table`` holds one word per row, padded with the id
-    ``len(alphabet.graphemes)``, in the smallest unsigned dtype that holds
-    that id (uint8 up to 255 graphemes); ``lengths`` is int32; ``masks`` is
-    uint64, with bit ``g % 64`` set for each grapheme ``g`` of the word."""
+    """(flat, lengths, masks, starts) of words given by their lengths and by
+    their grapheme ids one word after another: ``flat`` holds the ids end to
+    end in the kernel's row code dtype, the smallest unsigned one that holds
+    ``G * G - 1`` (uint16 up to 256 graphemes); ``starts`` holds each word's
+    offset, int32 while the kernel's reads, within ``3 * len(flat)``, fit;
+    ``lengths`` is int32; ``masks`` is uint64, bit ``g % 64`` per grapheme ``g``."""
     import numpy as np
 
-    n_graphemes = len(alphabet.graphemes)
     lengths = np.fromiter(lengths, dtype=np.int32, count=len(lengths))
-    width = int(lengths.max(initial=0))
-    dtype = np.min_scalar_type(n_graphemes)
-    table = np.full((len(lengths), width), n_graphemes, dtype=dtype)
-    table[np.arange(width) < lengths[:, None]] = np.fromiter(ids, dtype)
-    # Each id's bit, and none for the padding id.
-    bits = np.left_shift(np.uint64(1), np.arange(n_graphemes + 1, dtype=np.uint64) % 64)
-    bits[n_graphemes] = 0
+    total = int(lengths.sum())
+    flat = np.fromiter(ids, np.min_scalar_type(len(alphabet.graphemes) ** 2 - 1), count=total)
+    starts = np.cumsum(lengths, dtype=np.min_scalar_type(-3 * total)) - lengths
     masks = np.zeros(len(lengths), dtype=np.uint64)
-    for column in table.T:  # one column at a time: no 2-D uint64 temporary
-        masks |= bits[column]
-    return table, lengths, masks
+    filled = lengths > 0  # an empty word's run would take its neighbour's first id
+    bits = np.left_shift(1, flat % 64, dtype=np.uint64)
+    masks[filled] = np.bitwise_or.reduceat(bits, starts[filled])
+    return flat, lengths, masks, starts
 
 
 def within_lower_bounds(lengths_a, lengths_b, masks_a, masks_b, bound: int, indel: int):
@@ -271,7 +268,7 @@ _SLICE = 4 * _CHUNK
 
 
 def bounded_distances(
-    words: tuple[np.ndarray, np.ndarray, np.ndarray],
+    words: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     a: np.ndarray,
     b: np.ndarray,
     bound: int,
@@ -280,8 +277,8 @@ def bounded_distances(
     """Weighted distances of many word pairs, exact up to ``bound``.
 
     Pair ``p`` is words ``a[p]`` and ``b[p]`` of ``words``, the
-    ``(table, lengths, masks)`` that :func:`word_arrays` builds from ids as
-    returned by :meth:`Alphabet.encode`. The result holds each
+    ``(flat, lengths, masks, starts)`` that :func:`word_arrays` builds from ids
+    as returned by :meth:`Alphabet.encode`. The result holds each
     pair's distance when it is at most ``bound`` and ``bound + 1`` otherwise,
     in the smallest unsigned dtype that fits ``bound + 1``.
 
@@ -289,30 +286,25 @@ def bounded_distances(
     of the result, so beside the result the memory a batch takes is that of
     one slice, however many pairs it holds. In a slice, the lower bounds of
     :func:`within_lower_bounds` settle most pairs without a DP. The rest run
-    a banded DP over the ``2 * (bound // indel) + 1`` diagonals around the
-    main one, grouped by the length of the first word so that each chunk of
-    up to ``_CHUNK`` pairs walks its rows together, and a chunk stops once
+    a banded DP, grouped by the length of the first word so that each chunk
+    of up to ``_CHUNK`` pairs walks its rows together, and a chunk stops once
     every pair's row minimum exceeds the bound (Ukkonen's cut-off). The
     scalar ``oracle_bounded_distance`` in ``tests/helpers.py`` is its test
     reference.
 
-    Each chunk gathers its own rows from the table: the first words' ids
-    times ``G + 1`` and the second words' ids, ``half`` padding ids above
-    and below, so a band row reads its substitution costs from a flat
-    ``(G+1) x (G+1)`` table, ``G`` graphemes plus the padding id, at their
-    sum. Both row arrays are held in the smallest unsigned dtype that fits
-    ``(G+1)**2 - 1`` (uint16 up to 255 graphemes).
+    A chunk's band spans ``2 * half + 1`` diagonals, ``half`` being
+    ``bound // indel`` or the chunk's longest word if shorter. Its rows come
+    from ``flat`` by clipped reads: the first words' ids times ``G``, and the
+    second words' ids from ``half`` before their start to ``half`` past the
+    first words' length, into their neighbours (see :func:`_band_walk`). A
+    band row reads its costs from a flat ``G x G`` table at their sum.
     """
     import numpy as np
 
     inf = bound + 1
     out = np.full(len(a), inf, dtype=np.min_scalar_type(inf))
-    table, lengths, masks = words
-    n_graphemes = len(alphabet.graphemes)
+    flat, lengths, masks, starts = words
     indel = alphabet.indel_cost
-    # No alignment strays further than the table's width from the main diagonal.
-    half = min(bound // indel, table.shape[1])
-    dtype = np.min_scalar_type((n_graphemes + 1) ** 2 - 1)
     costs = _substitution_costs(alphabet, inf)
     for first in range(0, len(a), _SLICE):
         part = slice(first, first + _SLICE)
@@ -325,38 +317,43 @@ def bounded_distances(
         for length, end in enumerate(ends.tolist()):
             for lo in range(start, end, _CHUNK):
                 pairs = todo[lo : min(lo + _CHUNK, end)]
-                # Row i holds each first word's i-th id, contiguous for the walk;
-                # ``half`` padding rows above the second words cover diagonals left of j=1.
-                a_rows = table[sa[pairs], :length].T.astype(dtype, order="C")
-                a_rows *= n_graphemes + 1
-                second = table[sb[pairs], : length + half].T
-                b_rows = np.full((length + 2 * half, len(pairs)), n_graphemes, dtype=dtype)
-                b_rows[half : half + len(second)] = second
+                # No alignment strays further than the longer word from the main diagonal.
+                half = min(bound // indel, max(length, int(lb[pairs].max())))
+                a_rows = _rows(flat, starts[sa[pairs]], length)
+                a_rows *= len(alphabet.graphemes)
+                b_rows = _rows(flat, starts[sb[pairs]] - half, length + 2 * half)
                 codes[pairs] = _band_walk(a_rows, b_rows, lb[pairs] - length + half,
                                           costs, half, indel, inf)
             start = end
     return out
 
 
+def _rows(flat, first, n_rows):
+    """Row ``r`` holds ``flat[first + r]``, clipped; no 2-D index is built."""
+    import numpy as np
+
+    rows = np.empty((n_rows, len(first)), dtype=flat.dtype)
+    for r, row in enumerate(rows):
+        flat.take(first + r, out=row, mode="clip")
+    return rows
+
+
 @lru_cache(maxsize=32)
 def _substitution_costs(alphabet: Alphabet, inf: int) -> np.ndarray:
-    """Flat (G+1)x(G+1) substitution costs; the padding id G costs ``inf``.
-    Read-only and cached per alphabet and cap: every kernel call reads it."""
+    """Flat GxG substitution costs. Read-only and cached per alphabet and cap:
+    every kernel call reads it."""
     import numpy as np
 
     n = len(alphabet.graphemes)
-    # The narrowest signed type that holds a capped cell plus one more edit.
-    dtype = np.min_scalar_type(-(2 * inf + 2 * alphabet.indel_cost))
-    costs = np.full(
-        (n + 1, n + 1), alphabet.dissimilar_substitution_cost, dtype=dtype
-    )
+    # The narrowest signed type that holds a capped cell plus one edit, up to ``inf + 2 * indel``.
+    dtype = np.min_scalar_type(-(inf + 2 * alphabet.indel_cost) - 1)
+    costs = np.full((n, n), alphabet.dissimilar_substitution_cost, dtype=dtype)
     for group in alphabet.similarity_groups:
         ids = alphabet.encode(group)
         for x in ids:
             for y in ids:
                 costs[x, y] = alphabet.similar_substitution_cost
     np.fill_diagonal(costs, 0)
-    costs[n, :] = costs[:, n] = inf
     costs.flags.writeable = False
     return costs.ravel()
 
@@ -365,9 +362,11 @@ def _band_walk(a_rows, b_rows, final_diagonal, costs, half, indel, inf):
     """Banded DP for a chunk of pairs whose first words share one length.
 
     ``band[k, p]`` holds D[i][i + k - half] for pair ``p`` at row ``i``,
-    capped at ``inf``. Cells right of the second word's end are not masked:
-    paths only move right and down, so they never reach the cell read at the
-    end, and they can only lower a row minimum, which keeps the cut-off sound.
+    capped at ``inf``. ``b_rows`` runs past each second word into its
+    neighbours in the store, unmasked. A cell left of column 0 reads only
+    cells at or left of its column, all ``inf`` from row 0 on. A cell right of
+    the word's end never reaches the cell read at the end, as paths only move
+    right and down, and can only lower a row minimum: the cut-off stays sound.
     """
     import numpy as np
 

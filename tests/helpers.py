@@ -18,12 +18,12 @@ weights per draw and refilter the mutation kinds per edit, all drawing with
 once per ``generate`` call must match them RNG call for RNG call. The
 positional-stats oracle counts token by token over ``Corpus.lines``, where
 the library counts once per type and once per line. Apart from the kernel
-table and the corpus and report record classes, none shares code with the
+store and the corpus and report record classes, none shares code with the
 library internals it checks. The hand-enumerated grid cases live here too,
 shared between the unit tests and the acceptance suite, and so does
 ``batch_distances``, which runs a test's many pairs through the library's
-batched distance in one call, and ``id_table``, the library's word table of
-a list of id sequences.
+batched distance in one call, and ``id_table``, the library's flat word
+store of a list of id sequences.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def oracle_bounded_distance(
 
 
 def id_table(words, alphabet: Alphabet):
-    """The :func:`word_arrays` table of id sequences ``words``."""
+    """The :func:`word_arrays` flat store of id sequences ``words``."""
     return word_arrays(list(map(len, words)), chain.from_iterable(words), alphabet)
 
 
@@ -211,11 +211,13 @@ def brute_force_grid_counts(
     max_pos_offset: int,
     target_distance: int,
     drop_line_edges: bool = False,
+    distance=naive_distance,
 ) -> dict[tuple[int, int], tuple[int, int]]:
     """Recount every windowed pair with plain nested loops.
 
-    Returns {(line_offset, pos_offset): (pair_count, match_count)} using the
-    naive recursive distance for the match test, computed once per pair of
+    Returns {(line_offset, pos_offset): (pair_count, match_count)} using
+    ``distance(a, b, alphabet)`` of two grapheme tuples for the match test,
+    the naive recursive distance unless given, computed once per pair of
     words (it is symmetric). Only sensible for small corpora.
     """
     lines = [[tok.graphemes or oracle_segment(tok.raw, alphabet) for tok in line.tokens]
@@ -247,7 +249,7 @@ def brute_force_grid_counts(
                     cell[0] += 1
                     pair = (word, other[p]) if word <= other[p] else (other[p], word)
                     if pair not in distances:
-                        distances[pair] = naive_distance(*pair, alphabet)
+                        distances[pair] = distance(*pair, alphabet)
                     if distances[pair] == target_distance:
                         cell[1] += 1
     return {k: (v[0], v[1]) for k, v in counts.items()}

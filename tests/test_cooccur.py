@@ -22,7 +22,13 @@ from selfcite.editdist import Alphabet, within_lower_bounds
 from selfcite.generator import GeneratorParams, generate, shuffle_control
 from selfcite.profiles import load_profile
 
-from helpers import HAND_ALPHABETS, HAND_GRID_CASES, assemble_corpus, brute_force_grid_counts
+from helpers import (
+    HAND_ALPHABETS,
+    HAND_GRID_CASES,
+    assemble_corpus,
+    brute_force_grid_counts,
+    oracle_bounded_distance,
+)
 
 VMS = load_profile("vms").alphabet
 
@@ -448,8 +454,31 @@ def test_distance_past_255_matches_brute_force():
         assert any(match for _, match in recount.values()), d
 
 
+@pytest.mark.parametrize("d", [124, 125])
+def test_distance_at_a_cost_dtype_edge_matches_brute_force(d):
+    # a dissimilar substitution costs 2 * indel, so the kernel's cells reach
+    # d + 1 + 2, the largest value of int8 at d = 124 and one past it at 125;
+    # runs of a and b sit at exactly these distances (a wrapped cell turned
+    # such a match into a miss). test_editdist covers the int16 edge.
+    alphabet = Alphabet(graphemes=("a", "b"))
+    rng = random.Random(d)
+    lines = [["".join(rng.choice("ab") for _ in range(rng.choice((1, 2, 3, 61, 63))))
+              for _ in range(rng.randrange(1, 4))] for _ in range(6)]
+    lines[2] += ["a" * 62, "b" * 62]
+    lines[3] += ["ab", "b" * 63]
+    corpus = _corpus(lines, alphabet)
+    spec = GridSpec(alphabet=alphabet, max_line_offset=2, max_pos_offset=2)
+
+    def distance(x, y, alphabet):
+        return oracle_bounded_distance(alphabet.encode(x), alphabet.encode(y), d, alphabet)
+
+    recount = brute_force_grid_counts(corpus, alphabet, 2, 2, d, distance=distance)
+    assert _counts(compute_grids(corpus, spec, (d,))[d]) == recount
+    assert any(match for _, match in recount.values())
+
+
 def test_grid_peak_memory_is_bounded():
-    # tracemalloc sees numpy's buffers. With the word table in uint8, band
+    # tracemalloc sees numpy's buffers. With the flat word store and band
     # rows in uint16 and pair keys in int32, this book's grids peak at about
     # 1.2 MB above their inputs; with intp tables and rows and int64 keys
     # they peaked at 2.4 MB.
@@ -464,6 +493,27 @@ def test_grid_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 1_500_000, peak
+
+
+def test_long_word_grid_peak_memory_is_small():
+    # the flat word store grows with the graphemes of the types, not with
+    # types x the widest word: one 20,000-grapheme word among 300 short-word
+    # lines peaks at about 0.46 MB, against 0.26 MB without it; a table
+    # padded to that word and its fill mask peaked at 16 MB
+    alphabet = Alphabet.single_characters("abcdef")
+    rng = random.Random(3)
+    lines = [["".join(rng.choice("abcdef") for _ in range(rng.randrange(1, 5)))
+              for _ in range(rng.randrange(1, 6))] for _ in range(300)]
+    long = "".join(rng.choice("abcdef") for _ in range(20_000))
+    corpus = _corpus(lines[:150] + [[long]] + lines[150:], alphabet)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        compute_grids(corpus, GridSpec(alphabet=alphabet), (1,))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_partition_consistency_multi_distance():

@@ -343,15 +343,13 @@ def test_pruned_pairs_skip_the_walk(monkeypatch):
     assert walks == [(1, 0)]
 
 
-@pytest.mark.parametrize("n_graphemes, table_type, row_type", [
-    (255, np.uint8, np.uint16), (256, np.uint16, np.uint32),
-    (257, np.uint16, np.uint32),
+@pytest.mark.parametrize("n_graphemes, row_type", [
+    (255, np.uint16), (256, np.uint16), (257, np.uint32),
 ])
-def test_wide_alphabets_match_scalar(n_graphemes, table_type, row_type,
-                                     monkeypatch):
-    # the word table holds the padding id G (uint8 up to 255 graphemes); a
-    # band row holds a first word's id times G + 1 plus a second word's id,
-    # up to (G+1)**2 - 1, which passes 65,535 at 256 graphemes
+def test_wide_alphabets_match_scalar(n_graphemes, row_type, monkeypatch):
+    # a band row holds a first word's id times G plus a second word's id, up
+    # to G**2 - 1, which passes 65,535 at 257 graphemes; the flat store holds
+    # the ids in the same dtype
     graphemes = tuple(f"g{k}" for k in range(n_graphemes))
     alphabet = Alphabet(graphemes=graphemes, similarity_groups=(
         frozenset(graphemes[-2:]), frozenset((graphemes[0], graphemes[-3]))))
@@ -369,7 +367,6 @@ def test_wide_alphabets_match_scalar(n_graphemes, table_type, row_type,
              for _ in range(40)]
     a, b = np.divmod(np.arange(len(words) ** 2), len(words))
     table = id_table(words, alphabet)
-    assert table[0].dtype == table_type
     for bound in (2, 10):
         got = bounded_distances(table, a, b, bound, alphabet)
         assert got.tolist() == [
@@ -378,6 +375,68 @@ def test_wide_alphabets_match_scalar(n_graphemes, table_type, row_type,
                       for i, j in zip(a, b))
         ]
     assert set(rows) == {(row_type, row_type)}
+
+
+@st.composite
+def flat_store_batch(draw):
+    """A profile, a store of short, empty and long words with an edited copy
+    after each, pairs of them and a bound."""
+    profile = draw(st.sampled_from(["plain", "tiny", "vms_like"]))
+    alphabet = BATCH_PROFILES[profile]
+    ids = st.integers(0, len(alphabet.graphemes) - 1)
+    word = st.lists(ids, max_size=3) | st.lists(ids, min_size=20, max_size=40)
+    words = []
+    for base in draw(st.lists(word.map(tuple), min_size=1, max_size=8)):
+        start = draw(st.integers(0, len(base)))
+        stop = draw(st.integers(start, min(len(base), start + 3)))
+        insert = tuple(draw(st.lists(ids, max_size=3)))
+        words += [base, base[:start] + insert + base[stop:]]
+    index = st.integers(0, len(words) - 1)
+    copies = [(k, k + 1) for k in range(0, len(words), 2)]
+    pairs = copies + draw(st.lists(st.tuples(index, index), max_size=20))
+    return alphabet, words, pairs, draw(st.integers(0, 8))
+
+
+@given(flat_store_batch())
+@settings(max_examples=150, deadline=None)
+def test_flat_store_reads_past_word_ends_match_scalar(case):
+    # a second word's rows run into its neighbours in the store and clip at
+    # its ends; no such read may change a value, and an empty word's mask
+    # takes no neighbour's bit
+    alphabet, words, pairs, bound = case
+    store = id_table(words, alphabet)
+    assert store[2].tolist() == [sum(1 << b for b in {g % 64 for g in w}) for w in words]
+    a, b = map(np.array, zip(*pairs))
+    got = bounded_distances(store, a, b, bound, alphabet)
+    assert got.tolist() == [
+        bound + 1 if d is None else d
+        for d in (oracle_bounded_distance(words[i], words[j], bound, alphabet)
+                  for i, j in pairs)
+    ]
+
+
+@pytest.mark.parametrize("profile", ["vms_like", "wide_indel"])
+@pytest.mark.parametrize("edge", [127, 32767])
+def test_bounds_at_a_cost_dtype_edge_match_scalar(profile, edge):
+    # a capped cell plus one edit reaches bound + 1 + 2 * indel; at the
+    # bound where that is a signed dtype's largest value and at the next one,
+    # no cell may wrap (a cost table one value too narrow gave ab -> ba at
+    # bound 125 under vms a distance of -128)
+    alphabet = BATCH_PROFILES[profile]
+    rng = random.Random(edge)
+    n = len(alphabet.graphemes)
+    words = [tuple(rng.randrange(n) for _ in range(rng.randrange(6))) for _ in range(16)]
+    words += [tuple(rng.randrange(n) for _ in range(length)) for length in (50, 70, 140)]
+    words += [(0, 1), (1, 0)]
+    a, b = np.divmod(np.arange(len(words) ** 2), len(words))
+    table = id_table(words, alphabet)
+    for bound in (edge - 2 * alphabet.indel_cost - 1, edge - 2 * alphabet.indel_cost):
+        got = bounded_distances(table, a, b, bound, alphabet)
+        assert got.tolist() == [
+            bound + 1 if d is None else d
+            for d in (oracle_bounded_distance(words[i], words[j], bound, alphabet)
+                      for i, j in zip(a.tolist(), b.tolist()))
+        ], bound
 
 
 def test_batched_distances_edge_cases():
@@ -446,6 +505,33 @@ def test_batch_peak_memory_does_not_grow_with_the_batch():
             tracemalloc.stop()
         assert (codes <= 2).mean() > 0.3  # and so ran the DP
     assert max(peaks) < 2_000_000, peaks
+
+
+def test_long_word_widens_no_other_chunks_band():
+    # the band is as wide as the bound or the chunk's longest word, so one
+    # unpaired 20,000-id word in the store leaves a bound-300 batch of short
+    # words at the peak it has without it; with the band as wide as the
+    # longest word anywhere, it peaked 1.7 MB higher
+    rng = random.Random(7)
+    words, derived = _batch_words(rng, VMS_LIKE, 2)
+    pairs = derived + [(rng.randrange(len(words)), rng.randrange(len(words)))
+                       for _ in range(2000)]
+    a, b = map(np.array, zip(*pairs))
+    long = tuple(rng.randrange(len(VMS_LIKE.graphemes)) for _ in range(20_000))
+    peaks, results = [], []
+    for store, shift in ((words, 0), (words[:90] + [long] + words[90:], 1)):
+        table = id_table(store, VMS_LIKE)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            results.append(bounded_distances(table, a + shift * (a >= 90),
+                                             b + shift * (b >= 90), 300,
+                                             VMS_LIKE).tolist())
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert results[0] == results[1]
+    assert peaks[1] < peaks[0] + 200_000, peaks
 
 
 def _edited(rng, word, graphemes, edits, max_len):
