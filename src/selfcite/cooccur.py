@@ -150,9 +150,8 @@ def _cell_keys(corpus: Corpus, spec: GridSpec, bound: int):
     import numpy as np
 
     segmentations = corpus.segmentations()
-    words = word_arrays(list(map(len, segmentations)),
-                        spec.alphabet.encode(chain.from_iterable(segmentations)),
-                        spec.alphabet)
+    ids = map(spec.alphabet.grapheme_ids.__getitem__, chain.from_iterable(segmentations))
+    words = word_arrays(list(map(len, segmentations)), ids, spec.alphabet)
     _, type_lengths, type_masks, _ = words
     n_types = max(len(segmentations), 1)
     key_type = _key_dtype(n_types)

@@ -6,7 +6,12 @@ with its graphemes once normalized), one id stream of all tokens cut into
 lines by offsets, and each line's locus (page, text-unit, line number) and
 paragraph id. Line order is source order; after any filtering the remaining
 lines are adjacent, so a page's first line follows the previous page's last
-retained line. Consumers read the columns, and no record per token is built
+retained line. :meth:`Corpus.from_rows` is the one builder of the columns:
+it reads (locus, keys, paragraph id) line records one at a time and numbers
+each distinct key, one word type, by first occurrence. The parsers give it
+raw words; :func:`normalize`, :func:`filter_pages` and the generator's
+shuffle give it the old ids they keep, and the generator its words'
+graphemes. Consumers read the columns, and no record per token is built
 to parse, normalize or analyse a corpus: :attr:`Corpus.lines`, of
 :class:`Line` and :class:`Token` records, is a view built on demand.
 :class:`Locus` and :class:`Token` check their fields through
@@ -38,10 +43,10 @@ import unicodedata
 from array import array
 from collections import Counter
 from functools import cached_property
-from itertools import accumulate, chain, compress, takewhile
+from itertools import accumulate, chain, takewhile
 from operator import ne
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 # CPython's own SHA-256 (``_sha2`` from 3.12, ``_sha256`` before): hashlib's
 # loads OpenSSL's libcrypto, several MB of resident memory per process.
@@ -136,24 +141,25 @@ class Corpus(_CorpusFields):
     subclass holds the dict that caches :attr:`counts` and :attr:`lines`."""
 
     @classmethod
-    def from_rows(cls, records: Iterable[tuple[Locus, list[int], int]], words: Iterable[str],
-                  graphemes: Iterable | None = None) -> "Corpus":
-        """The corpus of (locus, type ids, paragraph id) line records in source
-        order; ids follow first occurrence and index ``words`` and ``graphemes``."""
-        loci, rows, paragraph_ids = tuple(zip(*records)) or ((), (), ())
-        words = tuple(words)
+    def from_rows(cls, records: Iterable[tuple[Locus, Iterable[Hashable], int]],
+                  word: Callable[[Hashable], str],
+                  graphemes: Callable[[Hashable], tuple[str, ...]] | None = None) -> "Corpus":
+        """The corpus of (locus, keys, paragraph id) line records, read one at a
+        time in source order. Each distinct key is one word type, numbered by
+        first occurrence, with raw word ``word(key)`` and graphemes
+        ``graphemes(key)`` (None without ``graphemes``)."""
+        types: dict[Hashable, int] = {}  # key -> type id
+        loci, rows, paragraph_ids = [], [], []
+        for locus, keys, para_id in records:
+            loci.append(locus)
+            rows.append([types.setdefault(k, len(types)) for k in keys])
+            paragraph_ids.append(para_id)
+        # One array once every row is read: extending it line by line holds less,
+        # but left a heap layout that raised the grid command's peak RSS.
         ids = memoryview(array("i", chain.from_iterable(rows))).toreadonly()
-        return cls(words, (None,) * len(words) if graphemes is None else tuple(graphemes), ids,
-                   tuple(accumulate(map(len, rows), initial=0)), loci, paragraph_ids)
-
-    def relabeled(self, records: Iterable[tuple[Locus, Iterable[int], int]]) -> "Corpus":
-        """:meth:`from_rows` of records holding this corpus's ids, with the
-        types they hold renumbered by first occurrence and the rest dropped."""
-        order: dict[int, int] = {}  # old type id -> new type id
-        records = [(locus, [order.setdefault(k, len(order)) for k in row], para_id)
-                   for locus, row, para_id in records]
-        return self.from_rows(records, map(self.words.__getitem__, order),
-                              list(map(self.graphemes.__getitem__, order)))
+        return cls(tuple(map(word, types)),
+                   (None,) * len(types) if graphemes is None else tuple(map(graphemes, types)),
+                   ids, tuple(accumulate(map(len, rows), initial=0)), tuple(loci), tuple(paragraph_ids))
 
     def token_count(self) -> int:
         return len(self.ids)
@@ -272,51 +278,49 @@ def parse_transliteration(text: str, units: frozenset[str] | None = None) -> Cor
     (or with line number 0), and :class:`EmptyCorpusError` when nothing
     remains.
     """
-    records = []
-    types: dict[str, int] = {}  # raw word -> type id
-    para_id = -1
-    prev_page: str | None = None
-    prev_unit: str | None = None
-    pending_break = False
+    def lines():
+        para_id = -1
+        prev_page: str | None = None
+        prev_unit: str | None = None
+        pending_break = False
 
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        stripped = raw_line.strip()
-        if not stripped:
-            pending_break = True
-            continue
-        if stripped.startswith("#"):
-            continue
-        match = _LOCUS_RE.match(stripped)
-        if match is None:
-            raise ParseError(line_no, f"malformed locus tag in {stripped[:40]!r}")
-        try:
-            locus = Locus(
-                page=match.group("page"),
-                unit=match.group("unit"),
-                line_no=int(match.group("line")),
-                raw_tag=match.group(0),
-            )
-        except ValueError as exc:
-            raise ParseError(line_no, f"{exc} in {match.group(0)!r}") from None
-        body = _BRACE_RE.sub("", stripped[match.end():])
-        ends_paragraph = body.rstrip().endswith("=")
-        body = body.replace("!", "").replace("%", "")
+        for line_no, raw_line in enumerate(text.splitlines(), start=1):
+            stripped = raw_line.strip()
+            if not stripped:
+                pending_break = True
+                continue
+            if stripped.startswith("#"):
+                continue
+            match = _LOCUS_RE.match(stripped)
+            if match is None:
+                raise ParseError(line_no, f"malformed locus tag in {stripped[:40]!r}")
+            try:
+                locus = Locus(
+                    page=match.group("page"),
+                    unit=match.group("unit"),
+                    line_no=int(match.group("line")),
+                    raw_tag=match.group(0),
+                )
+            except ValueError as exc:
+                raise ParseError(line_no, f"{exc} in {match.group(0)!r}") from None
+            body = _BRACE_RE.sub("", stripped[match.end():])
+            ends_paragraph = body.rstrip().endswith("=")
+            body = body.replace("!", "").replace("%", "")
 
-        if units is not None and locus.unit_kind not in units:
-            pending_break = True
-            continue
+            if units is not None and locus.unit_kind not in units:
+                pending_break = True
+                continue
 
-        if locus.page != prev_page or pending_break or locus.unit != prev_unit:
-            para_id += 1
-        row = [types.setdefault(t, len(types)) for t in _SEPARATORS_RE.split(body) if t]
-        records.append((locus, row, para_id))
-        prev_page = locus.page
-        prev_unit = locus.unit
-        pending_break = ends_paragraph
+            if locus.page != prev_page or pending_break or locus.unit != prev_unit:
+                para_id += 1
+            yield locus, filter(None, _SEPARATORS_RE.split(body)), para_id
+            prev_page = locus.page
+            prev_unit = locus.unit
+            pending_break = ends_paragraph
 
-    if not records:
+    if not (corpus := Corpus.from_rows(lines(), str)).loci:
         raise EmptyCorpusError("empty corpus")
-    return Corpus.from_rows(records, types)
+    return corpus
 
 
 def parse_plaintext(text: str) -> Corpus:
@@ -326,26 +330,27 @@ def parse_plaintext(text: str) -> Corpus:
     and case folded; lines left empty are dropped. Blank source lines
     separate paragraphs. The whole text is treated as a single page "text".
     """
-    records = []
-    types: dict[str, int] = {}  # raw word -> type id
-    para_id = 0
-    pending_break = False
-    for raw_line in unicodedata.normalize("NFC", text).splitlines():
-        if not raw_line.strip():
-            pending_break = True
-            continue
-        words = [w.strip(_EDGE_PUNCT).casefold() for w in raw_line.split()]
-        if not (row := [types.setdefault(w, len(types)) for w in words if w]):
-            pending_break = True
-            continue
-        if pending_break and records:
-            para_id += 1
+    def lines():
+        para_id = 0
+        line_no = 0
         pending_break = False
-        locus = Locus(page="text", unit="L", line_no=len(records) + 1, raw_tag="")
-        records.append((locus, row, para_id))
-    if not records:
+        for raw_line in unicodedata.normalize("NFC", text).splitlines():
+            if not raw_line.strip():
+                pending_break = True
+                continue
+            folded = (w.strip(_EDGE_PUNCT).casefold() for w in raw_line.split())
+            if not (words := [w for w in folded if w]):
+                pending_break = True
+                continue
+            if pending_break and line_no:
+                para_id += 1
+            pending_break = False
+            line_no += 1
+            yield Locus(page="text", unit="L", line_no=line_no, raw_tag=""), words, para_id
+
+    if not (corpus := Corpus.from_rows(lines(), str)).loci:
         raise EmptyCorpusError("empty corpus")
-    return Corpus.from_rows(records, types)
+    return corpus
 
 
 def normalize(corpus: Corpus, alphabet: Alphabet, min_graphemes: int = 2) -> Corpus:
@@ -360,12 +365,11 @@ def normalize(corpus: Corpus, alphabet: Alphabet, min_graphemes: int = 2) -> Cor
     """
     segmented = list(map(alphabet.segment, corpus.words))
     keep = [len(graphemes) >= min_graphemes for graphemes in segmented]
-    # old type id -> new id, or -1 when dropped; kept types keep their order
-    renumber = [n - 1 if kept else -1 for n, kept in zip(accumulate(keep), keep)]
-    rows = ([k for k in map(renumber.__getitem__, row) if k >= 0] for row in corpus.line_ids())
-    if not (lines := [line for line in zip(corpus.loci, rows, corpus.paragraph_ids) if line[1]]):
+    rows = (list(filter(keep.__getitem__, row)) for row in corpus.line_ids())
+    lines = (line for line in zip(corpus.loci, rows, corpus.paragraph_ids) if line[1])
+    if not (kept := Corpus.from_rows(lines, corpus.words.__getitem__, segmented.__getitem__)).loci:
         raise EmptyCorpusError(f"empty corpus: no token has at least {min_graphemes} graphemes")
-    return Corpus.from_rows(lines, compress(corpus.words, keep), compress(segmented, keep))
+    return kept
 
 
 def filter_pages(corpus: Corpus, pages: Iterable[str]) -> Corpus:
@@ -377,11 +381,12 @@ def filter_pages(corpus: Corpus, pages: Iterable[str]) -> Corpus:
     page_set = frozenset(pages)
     if not page_set:
         raise ValueError("pages must be a nonempty set")
-    kept = [line for line in zip(corpus.loci, corpus.line_ids(), corpus.paragraph_ids)
-            if line[0].page in page_set]
-    if not kept:
+    lines = (line for line in zip(corpus.loci, corpus.line_ids(), corpus.paragraph_ids)
+             if line[0].page in page_set)
+    if not (kept := Corpus.from_rows(lines, corpus.words.__getitem__,
+                                     corpus.graphemes.__getitem__)).loci:
         raise EmptyCorpusError("no lines match")
-    return corpus.relabeled(kept)
+    return kept
 
 
 def format_transliteration(corpus: Corpus) -> str:

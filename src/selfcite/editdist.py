@@ -81,6 +81,13 @@ class CheckedRecord:
     __replace__ = _replace
 
 
+class _GraphemeIds(dict):
+    """grapheme -> inventory id, where a missing grapheme raises ValueError."""
+
+    def __missing__(self, grapheme):
+        raise ValueError(f"unknown grapheme {grapheme!r}")
+
+
 class _AlphabetFields(NamedTuple):
     graphemes: tuple[str, ...]
     similarity_groups: tuple[frozenset[str], ...] = ()
@@ -145,8 +152,9 @@ class Alphabet(CheckedRecord, _AlphabetFields):
     # -- derived lookup structures (cached, not part of equality) --
 
     @cached_property
-    def _ids(self) -> dict[str, int]:
-        return {g: i for i, g in enumerate(self.graphemes)}
+    def grapheme_ids(self) -> dict[str, int]:
+        """Each grapheme's inventory id; looking up any other raises ValueError."""
+        return _GraphemeIds(zip(self.graphemes, range(len(self.graphemes))))
 
     @cached_property
     def _grapheme_re(self) -> re.Pattern:
@@ -165,14 +173,11 @@ class Alphabet(CheckedRecord, _AlphabetFields):
         return {g: tuple(sorted(p)) for g, p in partners.items()}
 
     def __contains__(self, grapheme: str) -> bool:
-        return grapheme in self._ids
+        return grapheme in self.grapheme_ids
 
     def encode(self, graphemes: Iterable[str]) -> tuple[int, ...]:
         """Map a grapheme sequence to inventory ids, validating membership."""
-        try:
-            return tuple(map(self._ids.__getitem__, graphemes))
-        except KeyError as exc:
-            raise ValueError(f"unknown grapheme {exc.args[0]!r}") from None
+        return tuple(map(self.grapheme_ids.__getitem__, graphemes))
 
     def segment(self, raw: str) -> tuple[str, ...]:
         """Split a raw token into graphemes, longest match first.
@@ -305,7 +310,8 @@ def bounded_distances(
     out = np.full(len(a), inf, dtype=np.min_scalar_type(inf))
     flat, lengths, masks, starts = words
     indel = alphabet.indel_cost
-    costs = _substitution_costs(alphabet, inf)
+    # The narrowest signed type that holds a capped cell plus one edit, up to ``inf + 2 * indel``.
+    costs = _substitution_costs(alphabet, np.min_scalar_type(-(inf + 2 * indel) - 1))
     for first in range(0, len(a), _SLICE):
         part = slice(first, first + _SLICE)
         sa, sb, codes = a[part], b[part], out[part]
@@ -339,14 +345,12 @@ def _rows(flat, first, n_rows):
 
 
 @lru_cache(maxsize=32)
-def _substitution_costs(alphabet: Alphabet, inf: int) -> np.ndarray:
-    """Flat GxG substitution costs. Read-only and cached per alphabet and cap:
-    every kernel call reads it."""
+def _substitution_costs(alphabet: Alphabet, dtype: np.dtype) -> np.ndarray:
+    """Flat GxG substitution costs in ``dtype``, the DP's cell type. Read-only
+    and cached per alphabet and dtype: every kernel call reads it."""
     import numpy as np
 
     n = len(alphabet.graphemes)
-    # The narrowest signed type that holds a capped cell plus one edit, up to ``inf + 2 * indel``.
-    dtype = np.min_scalar_type(-(inf + 2 * alphabet.indel_cost) - 1)
     costs = np.full((n, n), alphabet.dissimilar_substitution_cost, dtype=dtype)
     for group in alphabet.similarity_groups:
         ids = alphabet.encode(group)

@@ -21,7 +21,6 @@ import json
 import math
 import random
 import sys
-from array import array
 from bisect import bisect
 from collections import deque
 from functools import cache
@@ -318,6 +317,12 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
     ``<gNNN.P.M>``, and the corpus round-trips through the transliteration
     serializer.
     """
+    # Words are canonical segmentations, so distinct ones join to distinct raw words.
+    return Corpus.from_rows(_written_lines(params, alphabet), "".join, tuple)
+
+
+def _written_lines(params: GeneratorParams, alphabet: Alphabet):
+    """The (locus, words' graphemes, paragraph id) records of :func:`generate`."""
     seeds = [alphabet.segment(word) for word in params.seed_words]
     for name in ("prefix_graphemes", "gallows_graphemes", "line_final_glyphs"):
         for g in getattr(params, name):
@@ -359,19 +364,11 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
             segmented[raw] = graphemes
         return graphemes
 
-    types: dict[tuple[str, ...], int] = {}  # a word's graphemes -> its type id
     rng = random.Random(params.rng_seed)
     random_, randbelow = rng.random, rng._randbelow
     # the lines a source draw can read, nearest first: the window's but the current one
     above: deque[list[tuple[str, ...]]] = deque(maxlen=params.source_window_lines - 1)
     emitted = 0
-
-    # the corpus's columns: type ids of all lines, in one array, and per line
-    # its end offset in that array, its locus and its paragraph
-    ids = array("i")
-    offsets = [0]
-    loci: list[Locus] = []
-    paragraph_ids: list[int] = []
     page_no = 1
     page = "g001"
     page_lines = 0
@@ -406,7 +403,7 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
                     word = None
                     # every line written is nonempty, and so is the
                     # current one from m = 1
-                    if (m or ids) and random_() < copy_probability:
+                    if (m or emitted) and random_() < copy_probability:
                         # the window can still be empty, e.g. at position 0
                         # with a one-line source window
                         word = _pick_source(above_words, above_rows, current,
@@ -430,19 +427,10 @@ def generate(params: GeneratorParams, alphabet: Alphabet) -> Corpus:
                 current.append(word)
             emitted += len(current)
             page_lines += 1
-            loci.append(Locus(
-                page=page, unit="P", line_no=page_lines, raw_tag=f"<{page}.P.{page_lines}>"
-            ))
-            ids.extend([types.setdefault(w, len(types)) for w in current])
-            offsets.append(len(ids))
-            paragraph_ids.append(para_id)
+            yield (Locus(page=page, unit="P", line_no=page_lines,
+                         raw_tag=f"<{page}.P.{page_lines}>"), current, para_id)
             above.appendleft(current)
         para_id += 1
-
-    del segmented  # not part of the corpus: free it before the corpus is built
-    # Words are canonical segmentations, so distinct ones join to distinct raw words.
-    return Corpus(tuple(map("".join, types)), tuple(types), memoryview(ids).toreadonly(),
-                  tuple(offsets), tuple(loci), tuple(paragraph_ids))
 
 
 def shuffle_control(corpus: Corpus, rng_seed: int) -> Corpus:
@@ -454,7 +442,8 @@ def shuffle_control(corpus: Corpus, rng_seed: int) -> Corpus:
     ids = list(corpus.ids)
     random.Random(rng_seed).shuffle(ids)
     rows = map(ids.__getitem__, map(slice, corpus.offsets, corpus.offsets[1:]))
-    return corpus.relabeled(zip(corpus.loci, rows, corpus.paragraph_ids))
+    return Corpus.from_rows(zip(corpus.loci, rows, corpus.paragraph_ids),
+                            corpus.words.__getitem__, corpus.graphemes.__getitem__)
 
 
 class SignatureReport(NamedTuple):

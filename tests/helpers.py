@@ -285,11 +285,9 @@ _ORACLE_EDGE_PUNCT = string.punctuation + "‘’“”«»–—…"
 def assemble_corpus(records) -> Corpus:
     """The library corpus of (locus, tokens, paragraph id) line records given
     in source order; a word's graphemes are those of its first occurrence."""
-    types: dict[str, int] = {}  # raw word -> type id
-    rows = [(locus, [types.setdefault(t.raw, len(types)) for t in tokens], para_id)
-            for locus, tokens, para_id in records]
     first = {t.raw: t.graphemes for _, tokens, _ in reversed(records) for t in reversed(tokens)}
-    return Corpus.from_rows(rows, types, list(map(first.__getitem__, types)))
+    rows = ((locus, [t.raw for t in tokens], para_id) for locus, tokens, para_id in records)
+    return Corpus.from_rows(rows, str, first.__getitem__)
 
 
 def _oracle_lines(records) -> tuple[Line, ...]:

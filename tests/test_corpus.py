@@ -1,6 +1,8 @@
 import hashlib
 import random
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +22,8 @@ from selfcite.corpus import (
 )
 from selfcite.cooccur import GridSpec, compute_grid, compute_grids
 from selfcite.editdist import Alphabet, SegmentationError
-from selfcite.generator import GeneratorParams, generate, shuffle_control
-from selfcite.network import TypeTable, build_graph
+from selfcite.generator import GeneratorParams, generate, shuffle_control, validate_signature
+from selfcite.network import RatioRow, TypeTable, build_graph
 from selfcite.posstats import positional_stats, rank_frequency
 from selfcite.profiles import load_profile
 
@@ -563,3 +565,39 @@ def test_columnar_views_match_the_oracles(lines, source, steps, alphabet, seed):
 def test_sha256_hex_matches_hashlib(size):
     data = random.Random(size).randbytes(size)
     assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+
+def _records():
+    """One instance of each record, by name."""
+    profile = load_profile("vms")
+    text = generate(GeneratorParams(target_token_count=2500, rng_seed=3), profile.alphabet)
+    corpus = normalize(text, profile.alphabet)
+    table = TypeTable.from_corpus(corpus)
+    grid = compute_grid(corpus, GridSpec(alphabet=profile.alphabet), 1)
+    report = positional_stats(corpus, profile.gallows, profile.prefixes, profile.line_final_glyphs)
+    return {
+        "Corpus": corpus, "Locus": corpus.loci[0], "Token": corpus.lines[0].tokens[0],
+        "Line": corpus.lines[0], "Alphabet": profile.alphabet, "GridSpec": grid.spec,
+        "GridCell": next(iter(grid.cells.values())), "GeneratorParams": GeneratorParams(),
+        "Rate": report.line_initial_prefix_rate,
+        "RatioRow": RatioRow("ol", "or", "l", "r", 4, 2, 2.0, 1.5), "Profile": profile,
+        "TypeTable": table, "CooccurrenceGrid": grid,
+        "PositionalReport": report, "SignatureReport": validate_signature(text, profile.alphabet),
+        "SimilarityGraph": build_graph(table, profile.alphabet),
+    }
+
+
+def test_readme_names_the_records_that_hash():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = " ".join(readme.split())
+    hashing = re.search(r"\. ([^.]*) also hash as tuples\.", readme)
+    raising = re.search(r"`hash\(\)` raises on the rest: ([^.]*)\.", readme)
+    assert hashing and raising, "README § Library no longer says which records hash"
+    hashing, raising = (re.findall(r"`(\w+)`", found[1]) for found in (hashing, raising))
+    records = _records()
+    assert sorted(hashing + raising) == sorted(records)
+    for name in hashing:
+        assert hash(records[name]) == hash(tuple(records[name])), name
+    for name in raising:  # the Corpus's memoryview of C ints, the others' dicts
+        with pytest.raises(ValueError if name == "Corpus" else TypeError):
+            hash(records[name])

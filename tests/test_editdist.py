@@ -439,6 +439,16 @@ def test_bounds_at_a_cost_dtype_edge_match_scalar(profile, edge):
         ], bound
 
 
+def test_cost_tables_are_cached_by_cell_dtype():
+    # an exhaustive edit_distance caps its cells at a bound that grows with
+    # the words, but the table's values depend on the alphabet alone: every
+    # cap of these 40 calls fits int8, so they share one table
+    editdist._substitution_costs.cache_clear()
+    for n in range(1, 41):
+        assert edit_distance(("a",) * n, ("o",) * n, VMS_LIKE) == n
+    assert editdist._substitution_costs.cache_info().misses == 1
+
+
 def test_batched_distances_edge_cases():
     empty = np.empty(0, dtype=np.int64)
     assert bounded_distances(id_table([(0, 1)], TINY), empty, empty, 3,
