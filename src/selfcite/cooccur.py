@@ -169,12 +169,11 @@ def _cell_keys(corpus: Corpus, spec: GridSpec, bound: int):
     flat = matrix.ravel()
     indel = spec.alphabet.indel_cost
     filled = flat >= 0
-    # Per position, narrowed to halve each cell's reads: a clip never widens a
-    # length gap, a 32-bit xor-fold never raises a mask xor's popcount. A
-    # blank (-1) reads the zero appended last, and ``pairs`` drops it.
+    # Per position, the type's length clipped to int16, which never widens a
+    # length gap, and its mask. A blank (-1) reads the zeros appended last,
+    # and ``pairs`` drops it.
     lengths = np.append(np.minimum(type_lengths, 2**15 - 1), 0).astype(np.int16)[flat]
-    folded = np.append(type_masks ^ type_masks >> 32, np.uint64(0))
-    masks = folded.astype(np.uint32)[flat]
+    masks = np.append(type_masks, np.uint32(0))[flat]
     per_cell = {}
     for i in range(rows + 1):
         for j in range(-reach, reach + 1 if i else 0):  # row 0: only j < 0

@@ -213,9 +213,9 @@ def bounded_distance_ids(
     """
     import numpy as np
 
-    start = _common_prefix(a, b)
+    start = common_prefix(a, b)
     a, b = a[start:], b[start:]
-    end = _common_prefix(a[::-1], b[::-1])
+    end = common_prefix(a[::-1], b[::-1])
     a, b = a[: len(a) - end], b[: len(b) - end]
     first, second = np.arange(2).reshape(2, 1)
     words = word_arrays((len(a), len(b)), a + b, alphabet)
@@ -223,9 +223,12 @@ def bounded_distance_ids(
     return value if value <= bound else None
 
 
-def _common_prefix(x: Sequence[int], y: Sequence[int]) -> int:
-    mismatches = (k for k, (p, q) in enumerate(zip(x, y)) if p != q)
-    return next(mismatches, min(len(x), len(y)))
+def common_prefix(x: Sequence, y: Sequence) -> int:
+    """The length of the longest common prefix of ``x`` and ``y``."""
+    for k, (p, q) in enumerate(zip(x, y)):
+        if p != q:
+            return k
+    return min(len(x), len(y))
 
 
 def word_arrays(lengths: Sequence[int], ids: Iterable[int], alphabet: Alphabet):
@@ -234,16 +237,16 @@ def word_arrays(lengths: Sequence[int], ids: Iterable[int], alphabet: Alphabet):
     end in the kernel's row code dtype, the smallest unsigned one that holds
     ``G * G - 1`` (uint16 up to 256 graphemes); ``starts`` holds each word's
     offset, int32 while the kernel's reads, within ``3 * len(flat)``, fit;
-    ``lengths`` is int32; ``masks`` is uint64, bit ``g % 64`` per grapheme ``g``."""
+    ``lengths`` is int32; ``masks`` is uint32, bit ``g % 32`` per grapheme ``g``."""
     import numpy as np
 
     lengths = np.fromiter(lengths, dtype=np.int32, count=len(lengths))
     total = int(lengths.sum())
     flat = np.fromiter(ids, np.min_scalar_type(len(alphabet.graphemes) ** 2 - 1), count=total)
     starts = np.cumsum(lengths, dtype=np.min_scalar_type(-3 * total)) - lengths
-    masks = np.zeros(len(lengths), dtype=np.uint64)
+    masks = np.zeros(len(lengths), dtype=np.uint32)
     filled = lengths > 0  # an empty word's run would take its neighbour's first id
-    bits = np.left_shift(1, flat % 64, dtype=np.uint64)
+    bits = np.left_shift(1, flat % 32, dtype=np.uint32)
     masks[filled] = np.bitwise_or.reduceat(bits, starts[filled])
     return flat, lengths, masks, starts
 
@@ -255,7 +258,7 @@ def within_lower_bounds(lengths_a, lengths_b, masks_a, masks_b, bound: int, inde
 
     Each grapheme of length difference costs an indel, and a grapheme present
     in one word only costs at least half an edit, so ``popcount(xor)`` of the
-    masks may not exceed ``2 * bound``; folding ids mod 64 only merges bits.
+    masks may not exceed ``2 * bound``; folding ids mod 32 only merges bits.
     """
     import numpy as np
 

@@ -7,12 +7,14 @@ cost 1 apart: an indel when ``indel_cost`` is 1, a swap of similar
 graphemes when ``similar_substitution_cost`` is 1, and a swap to any
 grapheme when ``dissimilar_substitution_cost`` is 1.
 
-Edges are found by neighbor generation: the variants of each node are
-looked up in an index of the nodes, so the full quadratic pair set is never
-evaluated. Only deletions and swaps are generated. An insertion into ``a``
-that gives the node ``b`` is the deletion from ``b`` that gives ``a``, so
-``b``'s deletions find that edge, from far fewer variants than inserting
-every grapheme at every position would make.
+Edges are found from each node's deletions, never from the quadratic pair
+set nor from a variant per grapheme of the alphabet. A node is keyed by one
+character per grapheme, its inventory id, so each deletion is one string
+slice whatever the graphemes' surface forms. A node equal to another's
+deletion is one indel from it. Two nodes with equal deletions at position
+``i`` differ at ``i`` alone: nodes are filed under the hash of ``(i, the
+deletion)`` where their grapheme has a cost-1 swap, and are compared before
+they are joined, so a hash collision adds no edge.
 
 The nodes, their counts and their graphemes come from a :class:`TypeTable`,
 which holds them as three columns; ``TypeTable.from_corpus`` reads them off
@@ -21,11 +23,11 @@ a corpus's own columns.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from typing import NamedTuple
 
 from selfcite.corpus import Corpus
-from selfcite.editdist import Alphabet, are_similar
+from selfcite.editdist import Alphabet, are_similar, common_prefix
 
 
 class TypeTable(NamedTuple):
@@ -73,23 +75,6 @@ class SimilarityGraph(NamedTuple):
         }
 
 
-def _one_edit_variants(seq: tuple[str, ...], alphabet: Alphabet):
-    """Every sequence one cost-1 deletion or swap away from ``seq`` (see the
-    module docstring for why insertions are not needed)."""
-    if alphabet.indel_cost == 1:
-        for i in range(len(seq)):
-            yield seq[:i] + seq[i + 1 :]
-    if alphabet.dissimilar_substitution_cost == 1:
-        swaps = dict.fromkeys(alphabet.graphemes, alphabet.graphemes)
-    elif alphabet.similar_substitution_cost == 1:
-        swaps = alphabet.similar_partners
-    else:
-        return
-    for i, g in enumerate(seq):
-        for p in swaps[g]:
-            yield seq[:i] + (p,) + seq[i + 1 :]
-
-
 def build_graph(
     table: TypeTable,
     alphabet: Alphabet,
@@ -103,14 +88,30 @@ def build_graph(
         for word, seq, count in zip(table.words, table.graphemes, table.counts)
         if count >= min_freq
     }
-    index = {seq: word for word, seq in nodes.items()}
+    ids = alphabet.grapheme_ids
+    keys = {word: "".join(map(chr, map(ids.__getitem__, seq))) for word, seq in nodes.items()}
+    index = {key: word for word, key in keys.items()}
+    indel_edges = alphabet.indel_cost == 1
+    unit_swaps = alphabet.dissimilar_substitution_cost == 1
+    partners = alphabet.similar_partners if alphabet.similar_substitution_cost == 1 else {}
     adjacency: dict[str, set[str]] = {word: set() for word in nodes}
-    for word, seq in nodes.items():
-        for variant in _one_edit_variants(seq, alphabet):
-            other = index.get(variant)
-            if other is not None and other != word:
-                adjacency[word].add(other)
-                adjacency[other].add(word)
+    buckets: defaultdict[int, list[str]] = defaultdict(list)
+    for word, x in keys.items():
+        neighbors = adjacency[word]
+        for i, g in enumerate(nodes[word]):
+            deletion = x[:i] + x[i + 1 :]
+            if indel_edges and deletion in index:
+                neighbors.add(index[deletion])
+            if unit_swaps or partners.get(g):
+                bucket = buckets[hash((i, deletion))]
+                for other in bucket:
+                    y = keys[other]
+                    if ((unit_swaps or nodes[other][i] in partners[g])
+                            and y[:i] == x[:i] and y[i + 1 :] == x[i + 1 :]):
+                        neighbors.add(other)
+                bucket.append(word)
+        for other in neighbors:
+            adjacency[other].add(word)
     return SimilarityGraph({w: tuple(sorted(ns)) for w, ns in adjacency.items()})
 
 
@@ -162,18 +163,20 @@ class RatioRow(NamedTuple):
 
 
 def edge_operation(a: tuple[str, ...], b: tuple[str, ...]) -> str:
-    """Label the single edit separating two distance-1 sequences."""
-    if len(a) == len(b):
-        for i, (x, y) in enumerate(zip(a, b)):
-            if x != y:
-                return f"substitute {x}~{y} @{i}"
-        raise ValueError("sequences are identical")
+    """Label the single edit separating two distance-1 sequences. An indel
+    in a run of equal graphemes is placed at the run's first grapheme."""
     if len(a) < len(b):
         a, b = b, a
-    for i in range(len(a)):
-        if a[:i] + a[i + 1 :] == b:
-            return f"indel {a[i]} @{i}"
-    raise ValueError("sequences are not one edit apart")
+    i = common_prefix(a, b)
+    if i == len(a):
+        raise ValueError("sequences are identical")
+    if len(a) == len(b) and a[i + 1 :] == b[i + 1 :]:
+        return f"substitute {a[i]}~{b[i]} @{i}"
+    if a[i + 1 :] != b[i:]:
+        raise ValueError("sequences are not one edit apart")
+    while i and a[i - 1] == a[i]:
+        i -= 1
+    return f"indel {a[i]} @{i}"
 
 
 def frequency_ratio_report(
@@ -190,20 +193,15 @@ def frequency_ratio_report(
     counts = dict(zip(table.words, table.counts))
     rows = []
     for a, b in sorted(graph.edges()):
-        seq_a = graphemes[a]
-        seq_b = graphemes[b]
-        if len(seq_a) != len(seq_b):
+        seq_a, seq_b = graphemes[a], graphemes[b]
+        i = common_prefix(seq_a, seq_b)
+        if (len(seq_a) != len(seq_b) or i == len(seq_a) or seq_a[i + 1 :] != seq_b[i + 1 :]
+                or not are_similar(seq_a[i], seq_b[i], alphabet)):
             continue
-        diff = [(x, y) for x, y in zip(seq_a, seq_b) if x != y]
-        if len(diff) != 1 or not are_similar(diff[0][0], diff[0][1], alphabet):
-            continue
-        count_a = counts[a]
-        count_b = counts[b]
-        if (count_b, a) > (count_a, b):
+        if (counts[b], a) > (counts[a], b):
             a, b = b, a
-            count_a, count_b = count_b, count_a
-            diff = [(diff[0][1], diff[0][0])]
-        ga, gb = diff[0]
+        ga, gb = graphemes[a][i], graphemes[b][i]
+        count_a, count_b = counts[a], counts[b]
         grapheme_ratio = (
             grapheme_counts[gb] / grapheme_counts[ga]
             if grapheme_counts[ga] else float("inf")

@@ -4,8 +4,9 @@ These stay deliberately naive: the segmenter scans a word character by
 character, trying every grapheme longest first, the recursive distance
 explores every edit at every step, the scalar banded distance walks one
 pair's rows in plain Python, the grid recount walks every token pair with
-nested loops, and the network oracle compares every pair of types whose
-lengths differ by at most one. The corpus oracles work on :class:`Line`
+nested loops, the network oracle compares every pair of types whose
+lengths differ by at most one, and the edge-label oracle tries every
+deletion from the longer type. The corpus oracles work on :class:`Line`
 records, as the library did before its corpus became columnar: the parse
 oracles build one token per occurrence, the normalization oracle segments
 every occurrence, and the page filter and shuffle oracles cut and permute
@@ -276,6 +277,23 @@ def bucket_edges(nodes: dict[str, tuple[str, ...]], alphabet: Alphabet):
         for (a, b), d in zip(candidates, distances)
         if d == 1
     }
+
+
+def oracle_edge_operation(a: tuple[str, ...], b: tuple[str, ...]) -> str:
+    """The label of the one edit between two distance-1 sequences, by trying
+    every deletion from the longer one: the first position whose deletion
+    gives the shorter sequence."""
+    if len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            if x != y:
+                return f"substitute {x}~{y} @{i}"
+        raise ValueError("sequences are identical")
+    if len(a) < len(b):
+        a, b = b, a
+    for i in range(len(a)):
+        if a[:i] + a[i + 1 :] == b:
+            return f"indel {a[i]} @{i}"
+    raise ValueError("sequences are not one edit apart")
 
 
 _ORACLE_LOCUS = re.compile(r"<([^<>.;,\s]+)\.([^<>.;,\s]+)\.(\d+)(?:;[^<>]*)?>")

@@ -212,9 +212,8 @@ def test_conservation_against_brute_force(seed):
 
 # Alphabets whose costs, similarity groups and size the unit-cost cases above
 # never reach, with the graphemes their words are drawn from. The 70-grapheme
-# inventory folds ids mod 64 in the bitmask bound, and the grid folds masks
-# again to 32 bits, so its words mix the graphemes whose bits collide (ids
-# 0-3 share bits with ids 64-67, and in the grid with ids 32-35).
+# inventory folds ids mod 32 in the bitmask bound, so its words mix the
+# graphemes whose bits collide (ids 0-3 share bits with ids 32-35 and 64-67).
 WIDE = Alphabet.single_characters(chr(0x4E00 + k) for k in range(70))
 PREFILTER_ALPHABETS = {
     "indel2_groups": (

@@ -405,7 +405,7 @@ def test_flat_store_reads_past_word_ends_match_scalar(case):
     # takes no neighbour's bit
     alphabet, words, pairs, bound = case
     store = id_table(words, alphabet)
-    assert store[2].tolist() == [sum(1 << b for b in {g % 64 for g in w}) for w in words]
+    assert store[2].tolist() == [sum(1 << b for b in {g % 32 for g in w}) for w in words]
     a, b = map(np.array, zip(*pairs))
     got = bounded_distances(store, a, b, bound, alphabet)
     assert got.tolist() == [

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selfcite.corpus import normalize, parse_transliteration
 from selfcite.editdist import Alphabet, edit_distance
@@ -14,7 +15,7 @@ from selfcite.network import (
 )
 from selfcite.profiles import load_profile
 
-from helpers import bucket_edges
+from helpers import bucket_edges, oracle_edge_operation
 
 VMS = load_profile("vms").alphabet
 
@@ -88,6 +89,61 @@ COST_ALPHABETS = {
 @pytest.mark.parametrize("name", sorted(COST_ALPHABETS))
 def test_edges_follow_the_profile_costs(name):
     _agree_on_random_tables(COST_ALPHABETS[name], "aboy", 5, 60)
+
+
+# Beside the small alphabets above, two of 120 graphemes: every swap costs 1
+# in the first; in the second only swaps within overlapping groups of three
+# do, and indels cost 2.
+WIDE = tuple(chr(0x4E00 + k) for k in range(120))
+NEAR_ALPHABETS = (
+    VMS,
+    COST_ALPHABETS["unit"],
+    COST_ALPHABETS["indel2"],
+    Alphabet.single_characters(WIDE),
+    Alphabet(graphemes=WIDE,
+             similarity_groups=tuple(frozenset(WIDE[k : k + 3]) for k in range(0, 118, 2)),
+             dissimilar_substitution_cost=3, indel_cost=2),
+)
+
+
+@st.composite
+def near_types(draw):
+    """An alphabet and types built to sit one edit apart or nearly so: bases
+    of up to a few hundred graphemes, and chains of edits of them, which
+    include a grapheme doubled in place (``aab``/``ab``) and two adjacent
+    graphemes transposed (``ab``/``ba``, which share deletions at different
+    positions)."""
+    alphabet = draw(st.sampled_from(NEAR_ALPHABETS))
+    grapheme = st.sampled_from(alphabet.graphemes)
+    seqs = []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.sampled_from((4, 12, 400)))
+        seqs.append(tuple(draw(st.lists(grapheme, min_size=1, max_size=size))))
+        for _ in range(draw(st.integers(0, 8))):
+            seq = draw(st.sampled_from(seqs))
+            i = draw(st.integers(0, len(seq) - 1))
+            similar = alphabet.similar_partners[seq[i]]
+            swap = draw(st.sampled_from(similar) if similar and draw(st.booleans()) else grapheme)
+            seqs.append(draw(st.sampled_from((
+                seq[:i] + seq[i + 1 :] or seq,
+                seq[:i] + (swap,) + seq[i:],
+                seq[:i] + (swap,) + seq[i + 1 :],
+                seq[:i] + seq[i : i + 1] + seq[i:],
+                seq[:i] + seq[i + 1 : i + 2] + seq[i : i + 1] + seq[i + 2 :],
+            ))))
+    return alphabet, {"-".join(seq): seq for seq in seqs}
+
+
+@given(near_types())
+@settings(max_examples=150, deadline=None)
+def test_edges_and_labels_match_the_oracles_on_near_types(case):
+    alphabet, nodes = case
+    table = TypeTable(tuple(nodes), (1,) * len(nodes), tuple(nodes.values()))
+    edges = build_graph(table, alphabet, min_freq=1).edges()
+    assert edges == bucket_edges(nodes, alphabet)
+    for a, b in edges:
+        for x, y in ((nodes[a], nodes[b]), (nodes[b], nodes[a])):
+            assert edge_operation(x, y) == oracle_edge_operation(x, y)
 
 
 def test_unit_cost_profile_links_single_swaps():
@@ -185,6 +241,14 @@ def test_degree_coverage_monotone_in_min_freq():
 def test_edge_operation_labels():
     assert edge_operation(("ch", "o", "l"), ("o", "l")) == "indel ch @0"
     assert edge_operation(("ch", "o", "l"), ("ch", "a", "l")) == "substitute o~a @1"
+    # an indel in a run of equal graphemes is placed at the run's first one
+    assert edge_operation(("d", "a", "i", "i", "i", "n"), ("d", "a", "i", "i", "n")) == "indel i @2"
+    with pytest.raises(ValueError, match="not one edit apart"):
+        edge_operation(("a", "b"), ("c", "d"))
+    with pytest.raises(ValueError, match="not one edit apart"):
+        edge_operation(("a", "b", "c"), ("a",))
+    with pytest.raises(ValueError, match="identical"):
+        edge_operation(("a", "b"), ("a", "b"))
 
 
 def test_frequency_ratio_report_orientation():
